@@ -1,8 +1,9 @@
-//! Model-checker gates: the telemetry and cache models verify clean
+//! Model-checker gates: the telemetry, cache and pool models verify clean
 //! over every interleaving, the negative controls fail as designed
 //! (proving the explorer explores), and the seed changes choice order
 //! without changing the set of schedules.
 
+use drmap_check::model::completion::CompletionModel;
 use drmap_check::model::counter::{BrokenCounterModel, CounterModel};
 use drmap_check::model::histogram::{HistogramMergeModel, SnapshotTearModel};
 use drmap_check::model::singleflight::SingleFlightModel;
@@ -83,6 +84,33 @@ fn single_flight_verifies_including_leader_failure() {
     }
 }
 
+/// The pool's completion record: over every interleaving of four
+/// workers filling their slots and decrementing the counter, exactly
+/// one fires the callback, and it sees every slot filled. Four
+/// two-step threads interleave in 8!/2⁴ = 2520 ways, and the
+/// finisher's assembly can only come last, so the count is exact.
+#[test]
+fn completion_fires_exactly_once_with_every_slot_filled() {
+    let report = explore(&CompletionModel::default(), &Config::default());
+    assert!(report.verified(), "{:?}", report.violations);
+    assert_eq!(report.schedules, 2520);
+}
+
+/// Negative control: decrementing before writing the slot lets the
+/// finisher assemble the job while another worker's slot is empty.
+#[test]
+fn decrement_before_fill_is_caught() {
+    let report = explore(
+        &CompletionModel::decrement_before_fill(),
+        &Config::default(),
+    );
+    assert!(
+        !report.violations.is_empty(),
+        "the explorer failed to find the assembly from an empty slot"
+    );
+    assert!(report.violations[0].message.contains("empty slot"));
+}
+
 /// The snapshot-tear model: a reader interleaved with writers never
 /// observes counts ahead of the shared state and converges exactly.
 #[test]
@@ -122,7 +150,7 @@ fn seed_rotates_order_but_not_the_schedule_set() {
 #[test]
 fn standard_suite_verifies() {
     let reports = standard_suite(0);
-    assert_eq!(reports.len(), 5);
+    assert_eq!(reports.len(), 6);
     let mut total = 0;
     for report in &reports {
         assert!(

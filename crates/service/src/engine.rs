@@ -140,8 +140,11 @@ impl EngineFactory {
 #[derive(Debug)]
 pub(crate) struct StageMetrics {
     /// End-to-end latency of one submitted job (dispatch → response
-    /// queued).
+    /// queued by the worker that finished it).
     pub(crate) request_ns: Arc<Histogram>,
+    /// A layer task's wait on the pool queue, from enqueue to worker
+    /// pickup.
+    pub(crate) queue_wait_ns: Arc<Histogram>,
     /// Wire frame read + parse + request decode.
     pub(crate) frame_decode_ns: Arc<Histogram>,
     /// Response serialization + wire frame write.
@@ -181,6 +184,7 @@ impl StageMetrics {
     fn resolve(registry: &MetricsRegistry) -> Self {
         StageMetrics {
             request_ns: registry.histogram("request_ns"),
+            queue_wait_ns: registry.histogram("queue_wait_ns"),
             frame_decode_ns: registry.histogram("frame_decode_ns"),
             frame_encode_ns: registry.histogram("frame_encode_ns"),
             cache_lookup_ns: registry.histogram("cache_lookup_ns"),

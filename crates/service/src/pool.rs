@@ -27,6 +27,19 @@
 //! chunks it claims itself), and help tokens arriving after the shard
 //! drained are no-ops.
 //!
+//! ## Completion
+//!
+//! Each submitted job owns a completion record: one slot per layer, a
+//! remaining-layers counter and an on-done callback. A worker that
+//! finishes a layer fills its slot and decrements the counter; the one
+//! that takes the counter to zero assembles the [`JobResult`] and runs
+//! the callback on its own thread. No thread waits on a job: the TCP
+//! front-end's callback queues the response straight to the
+//! connection's writer, and [`PendingJob::wait`] is the same mechanism
+//! with a callback that sends on a one-shot channel. A layer task that
+//! is dropped without running (the queue was already shut down) fills
+//! its slot with an error, so every job completes exactly once.
+//!
 //! Determinism: workers may *compute* layers (and chunks) in any order,
 //! but results are reassembled in layer (and range) order and totals
 //! are accumulated exactly as the direct engine does, so a job's
@@ -36,7 +49,7 @@
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -54,7 +67,110 @@ use crate::error::{panic_message, ServiceError, DEADLINE_MARKER};
 use crate::spec::{JobOptions, JobResult, JobSpec};
 use crate::sync::lock_recovered;
 
-type LayerReply = (usize, Result<(LayerDseResult, CacheOutcome), DseError>);
+type LayerReply = Result<(LayerDseResult, CacheOutcome), DseError>;
+
+/// What a finished job hands its completion callback.
+pub type JobOutcome = Result<JobResult, ServiceError>;
+
+type OnDone = Box<dyn FnOnce(JobOutcome) + Send>;
+
+/// One submitted job's completion record: a slot per layer, the count
+/// of layers still unreported, and the callback to run once, when the
+/// last layer reports.
+struct Completion {
+    id: u64,
+    workload: String,
+    t_ck_ns: f64,
+    slots: Vec<Mutex<Option<LayerReply>>>,
+    remaining: AtomicUsize,
+    on_done: Mutex<Option<OnDone>>,
+}
+
+impl Completion {
+    fn new(spec: &JobSpec, t_ck_ns: f64, on_done: OnDone) -> Self {
+        let layers = spec.workload.layers().len();
+        Completion {
+            id: spec.id,
+            workload: spec.workload.name().to_owned(),
+            t_ck_ns,
+            slots: (0..layers).map(|_| Mutex::new(None)).collect(),
+            remaining: AtomicUsize::new(layers),
+            on_done: Mutex::new(Some(on_done)),
+        }
+    }
+
+    /// Record layer `index`'s outcome. The call that reports the last
+    /// layer assembles the job and runs the callback.
+    fn fill(&self, index: usize, reply: LayerReply) {
+        *lock_recovered(&self.slots[index]) = Some(reply);
+        // ordering: AcqRel — the Release half publishes this slot write
+        // to whichever thread takes the counter to zero; the Acquire
+        // half makes that thread see every other layer's slot write
+        // before it assembles. Exactly one decrement observes 1, so
+        // exactly one thread finishes the job.
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.finish();
+        }
+    }
+
+    /// Assemble the result and run the callback. A panicking callback
+    /// is contained here, so the worker that finished the job survives.
+    fn finish(&self) {
+        let outcome = self.assemble();
+        if let Some(on_done) = lock_recovered(&self.on_done).take() {
+            let _ = std::panic::catch_unwind(AssertUnwindSafe(|| on_done(outcome)));
+        }
+    }
+
+    /// The job's result in layer order, totals accumulated exactly as
+    /// the direct engine does; the lowest-indexed layer failure wins.
+    fn assemble(&self) -> JobOutcome {
+        let mut total = EdpEstimate::zero(self.t_ck_ns);
+        let mut outcomes = Vec::with_capacity(self.slots.len());
+        for slot in &self.slots {
+            let (result, outcome) = lock_recovered(slot)
+                .take()
+                .ok_or_else(|| ServiceError::protocol("a layer never received its reply"))??;
+            total.accumulate(&result.best.estimate);
+            outcomes.push(outcome_from_result(result, outcome));
+        }
+        Ok(JobResult {
+            id: self.id,
+            workload: self.workload.clone(),
+            total,
+            layers: outcomes,
+        })
+    }
+}
+
+/// A layer task's claim on its slot of the job's [`Completion`].
+/// [`LayerSlot::fill`] consumes it; a claim dropped unfilled (its task
+/// never ran) reports an error instead, so the job still completes.
+struct LayerSlot {
+    job: Option<Arc<Completion>>,
+    index: usize,
+}
+
+impl LayerSlot {
+    fn fill(mut self, reply: LayerReply) {
+        if let Some(job) = self.job.take() {
+            job.fill(self.index, reply);
+        }
+    }
+}
+
+impl Drop for LayerSlot {
+    fn drop(&mut self) {
+        if let Some(job) = self.job.take() {
+            job.fill(
+                self.index,
+                Err(DseError::new(
+                    "worker pool is shut down; layer not scheduled",
+                )),
+            );
+        }
+    }
+}
 
 /// A job's absolute latency budget, captured at submission. Workers
 /// check it at dequeue (a queued layer whose budget lapsed is never
@@ -90,7 +206,6 @@ struct LayerTask {
     engine: SharedEngine,
     tag: Arc<str>,
     layer: Layer,
-    index: usize,
     options: JobOptions,
     deadline: Option<Deadline>,
     /// An armed fault plan chose this task's job as its panic victim:
@@ -101,7 +216,9 @@ struct LayerTask {
     /// the worker's cache-lookup/explore spans add themselves to its
     /// per-stage breakdown.
     trace: Option<Arc<Trace>>,
-    reply: Sender<LayerReply>,
+    /// When the task went onto the queue: pickup records the wait.
+    enqueued: Instant,
+    slot: LayerSlot,
 }
 
 /// What travels on the pool's shared queue: a whole-layer exploration,
@@ -487,6 +604,25 @@ impl DsePool {
     /// `id`): every layer task carries it, so worker-side spans land in
     /// the request's stage breakdown as well as the global histograms.
     pub fn submit_traced(&self, spec: &JobSpec, trace: Option<Arc<Trace>>) -> PendingJob {
+        let (done, outcome) = sync_channel(1);
+        self.submit_then(spec, trace, move |result| {
+            // A dropped PendingJob just discards the result.
+            let _ = done.send(result);
+        });
+        PendingJob { outcome }
+    }
+
+    /// Enqueue a job's layers and return at once; `on_done` runs
+    /// exactly once with the job's outcome, on the worker that finishes
+    /// its last layer (or on the calling thread, if the job completes
+    /// during submission). Keep the callback short: it holds that
+    /// worker until it returns.
+    pub fn submit_then(
+        &self,
+        spec: &JobSpec,
+        trace: Option<Arc<Trace>>,
+        on_done: impl FnOnce(JobOutcome) + Send + 'static,
+    ) {
         self.state.stages().jobs_total.inc();
         // ordering: Relaxed — a pure submission ticket; the fault
         // plan's panic-job match needs uniqueness, not ordering.
@@ -504,44 +640,34 @@ impl DsePool {
         let tag: Arc<str> = self.state.factory().engine_tag(&spec.engine).into();
         let t_ck_ns = engine.model().table().t_ck_ns;
         let layers = spec.workload.layers();
-        let (reply, results) = channel();
+        // Every workload has at least one layer (`Network::new` rejects
+        // empty networks), so some slot's report always finishes the job.
+        let job = Arc::new(Completion::new(spec, t_ck_ns, Box::new(on_done)));
+        let queue = self
+            .queue
+            .as_ref()
+            .expect("queue lives as long as the pool");
         for (index, layer) in layers.iter().enumerate() {
             let task = LayerTask {
                 state: Arc::clone(&self.state),
                 engine: Arc::clone(&engine),
                 tag: Arc::clone(&tag),
                 layer: layer.clone(),
-                index,
                 options: spec.options,
                 deadline,
                 inject_panic: inject_panic && index == 0,
                 trace: trace.clone(),
-                reply: reply.clone(),
-            };
-            // The queue lives as long as the pool and workers never exit
-            // while it is open, but if a send fails anyway, reply with an
-            // error for this layer instead of panicking the submitter —
-            // `wait` then surfaces it as a job failure.
-            let queue = self
-                .queue
-                .as_ref()
-                .expect("queue lives as long as the pool");
-            if let Err(send_error) = queue.send(Task::Layer(task)) {
-                let _ = reply.send((
+                enqueued: Instant::now(),
+                slot: LayerSlot {
+                    job: Some(Arc::clone(&job)),
                     index,
-                    Err(DseError::new(
-                        "worker pool is shut down; layer not scheduled",
-                    )),
-                ));
-                drop(send_error);
-            }
-        }
-        PendingJob {
-            id: spec.id,
-            workload: spec.workload.name().to_owned(),
-            expected: layers.len(),
-            t_ck_ns,
-            results,
+                },
+            };
+            // The queue lives as long as the pool and workers never
+            // exit while it is open, but if a send fails anyway, the
+            // returned task is dropped here and its slot reports an
+            // error for this layer instead of panicking the submitter.
+            let _ = queue.send(Task::Layer(task));
         }
     }
 
@@ -586,19 +712,24 @@ fn worker_loop(rx: &Mutex<Receiver<Task>>, shared: &PoolShared) {
                 continue;
             }
         };
+        let waited = u64::try_from(task.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        task.state.stages().queue_wait_ns.record(waited);
+        if let Some(trace) = &task.trace {
+            trace.add("queue_wait", waited);
+        }
         // Dequeue-time deadline check: a layer that waited out its
         // job's whole budget in the queue is answered (with the typed
         // error) instead of computed — the submitter has given up.
         if let Some(deadline) = task.deadline.filter(Deadline::expired) {
-            let _ = task.reply.send((task.index, Err(deadline.error())));
+            task.slot.fill(Err(deadline.error()));
             continue;
         }
-        // Catch panics so the reply is *always* sent: a worker that
-        // unwound without replying would leave `PendingJob::wait`
-        // blocked forever on a layer that no one is computing.
-        // (`explore_layer_cached_with` already converts panics inside
-        // the exploration itself; this guards everything else — and is
-        // exactly the mechanism an injected fault-plan panic probes.)
+        // Catch panics so the slot is *always* filled: a worker that
+        // unwound without reporting would leave the job incomplete
+        // forever. (`explore_layer_cached_with` already converts panics
+        // inside the exploration itself; this guards everything else —
+        // and is exactly the mechanism an injected fault-plan panic
+        // probes.)
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             if task.inject_panic {
                 task.state.stages().fault_pool_total.inc();
@@ -639,56 +770,28 @@ fn worker_loop(rx: &Mutex<Receiver<Task>>, shared: &PoolShared) {
                 panic_message(payload.as_ref())
             )))
         });
-        // A dropped PendingJob just discards the reply.
-        let _ = task.reply.send((task.index, result));
+        task.slot.fill(result);
     }
 }
 
 /// A submitted job whose layers are in flight.
 #[derive(Debug)]
 pub struct PendingJob {
-    id: u64,
-    workload: String,
-    expected: usize,
-    t_ck_ns: f64,
-    results: Receiver<LayerReply>,
+    outcome: Receiver<JobOutcome>,
 }
 
 impl PendingJob {
-    /// Block until every layer finishes and assemble the result in
-    /// layer order.
+    /// Block until every layer finishes and return the result,
+    /// assembled in layer order.
     ///
     /// # Errors
     ///
     /// Returns the lowest-indexed layer failure, or a protocol error if
-    /// a worker died mid-job.
+    /// the pool dropped the job without completing it.
     pub fn wait(self) -> Result<JobResult, ServiceError> {
-        let mut slots: Vec<Option<Result<(LayerDseResult, CacheOutcome), DseError>>> =
-            (0..self.expected).map(|_| None).collect();
-        for _ in 0..self.expected {
-            let (index, result) = self
-                .results
-                .recv()
-                .map_err(|_| ServiceError::protocol("worker pool shut down mid-job"))?;
-            if index >= slots.len() {
-                return Err(ServiceError::protocol("worker replied with a bogus index"));
-            }
-            slots[index] = Some(result);
-        }
-        let mut total = EdpEstimate::zero(self.t_ck_ns);
-        let mut outcomes = Vec::with_capacity(self.expected);
-        for slot in slots {
-            let (result, outcome) =
-                slot.ok_or_else(|| ServiceError::protocol("a layer never received its reply"))??;
-            total.accumulate(&result.best.estimate);
-            outcomes.push(outcome_from_result(result, outcome));
-        }
-        Ok(JobResult {
-            id: self.id,
-            workload: self.workload,
-            total,
-            layers: outcomes,
-        })
+        self.outcome
+            .recv()
+            .map_err(|_| ServiceError::protocol("worker pool shut down mid-job"))?
     }
 }
 
@@ -955,6 +1058,128 @@ mod tests {
         );
         // The plan fires once: job 3 (same spec, warm cache) succeeds.
         pool.submit(&spec).wait().unwrap();
+    }
+
+    /// Submit through the completion callback, counting its calls.
+    fn submit_counted(pool: &DsePool, spec: &JobSpec) -> (Arc<AtomicUsize>, Receiver<JobOutcome>) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let (tx, rx) = channel();
+        let counted = Arc::clone(&calls);
+        pool.submit_then(spec, None, move |outcome| {
+            counted.fetch_add(1, Ordering::SeqCst);
+            let _ = tx.send(outcome);
+        });
+        (calls, rx)
+    }
+
+    /// Dropping the pool joins every worker, so a second call (from a
+    /// late layer) would have landed by the time this returns.
+    fn assert_fired_once(pool: DsePool, calls: &AtomicUsize, rx: &Receiver<JobOutcome>) {
+        drop(pool);
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            1,
+            "the callback must fire exactly once"
+        );
+        assert!(rx.try_recv().is_err(), "no second outcome may arrive");
+    }
+
+    #[test]
+    fn completion_fires_once_on_success_with_the_sequential_result() {
+        let state = ServiceState::new().unwrap();
+        let pool = DsePool::with_shard_policy(Arc::clone(&state), 4, always_shard());
+        let spec = JobSpec::network(12, EngineSpec::default(), Network::tiny());
+        let (calls, rx) = submit_counted(&pool, &spec);
+        let result = rx.recv().unwrap().unwrap();
+        assert_fired_once(pool, &calls, &rx);
+        let sequential = ServiceState::new().unwrap().run_job(&spec).unwrap();
+        assert_eq!(result.id, 12);
+        assert_eq!(result.layers.len(), sequential.layers.len());
+        assert_eq!(
+            result.total.energy.to_bits(),
+            sequential.total.energy.to_bits()
+        );
+    }
+
+    #[test]
+    fn completion_fires_once_when_a_deadline_lapses_in_the_queue() {
+        let state = ServiceState::new().unwrap();
+        let pool = DsePool::new(Arc::clone(&state), 1);
+        let blocker = JobSpec::layer(
+            1,
+            EngineSpec::default(),
+            drmap_cnn::layer::Layer::conv("BIG", 13, 13, 64, 32, 3, 3, 1),
+        );
+        let blocking = pool.submit(&blocker);
+        let deadlined = JobSpec::network(2, EngineSpec::default(), Network::tiny()).with_options(
+            crate::spec::JobOptions {
+                deadline_ms: Some(1),
+                ..Default::default()
+            },
+        );
+        let (calls, rx) = submit_counted(&pool, &deadlined);
+        assert!(matches!(
+            rx.recv().unwrap(),
+            Err(ServiceError::DeadlineExceeded { deadline_ms: 1 })
+        ));
+        blocking.wait().unwrap();
+        assert_fired_once(pool, &calls, &rx);
+    }
+
+    #[test]
+    fn completion_fires_once_when_a_worker_panics() {
+        let state = ServiceState::new().unwrap();
+        if state
+            .faults()
+            .set_plan(Some(
+                crate::faults::FaultPlan::parse("seed=1,panic-job=1").unwrap(),
+            ))
+            .is_err()
+        {
+            // Release build without the `faults` feature: nothing to
+            // inject.
+            return;
+        }
+        let pool = DsePool::new(Arc::clone(&state), 2);
+        let spec = JobSpec::network(13, EngineSpec::default(), Network::tiny());
+        let (calls, rx) = submit_counted(&pool, &spec);
+        let err = rx.recv().unwrap().unwrap_err();
+        assert!(err.to_string().contains("injected fault-plan worker panic"));
+        assert_fired_once(pool, &calls, &rx);
+    }
+
+    /// A pool whose workers are all gone: every layer send fails.
+    fn severed_pool(state: Arc<ServiceState>) -> DsePool {
+        let (queue, rx) = channel::<Task>();
+        drop(rx);
+        DsePool {
+            state,
+            workers: 1,
+            queue: Some(queue),
+            shared: Arc::new(PoolShared {
+                workers: 1,
+                policy: Mutex::new(ShardPolicy::default()),
+                helper: Mutex::new(None),
+            }),
+            handles: Vec::new(),
+            submitted: AtomicU64::new(0),
+        }
+    }
+
+    #[test]
+    fn completion_fires_once_when_the_queue_is_shut_down() {
+        // Each task the failed send hands back is dropped on the
+        // submitter, and its slot reports the failure.
+        let state = ServiceState::new().unwrap();
+        let pool = severed_pool(Arc::clone(&state));
+        let spec = JobSpec::network(14, EngineSpec::default(), Network::tiny());
+        let (calls, rx) = submit_counted(&pool, &spec);
+        let err = rx.recv().unwrap().unwrap_err();
+        assert!(err.to_string().contains("shut down"), "{err}");
+        assert_fired_once(pool, &calls, &rx);
+        // `wait` surfaces the same failure through the same mechanism.
+        let err = severed_pool(state).submit(&spec).wait().unwrap_err();
+        assert!(err.to_string().contains("shut down"), "{err}");
     }
 
     #[test]

@@ -65,9 +65,9 @@ pub struct ServerConfig {
     /// from the moment it is accepted until its response has been
     /// written to the socket. Submissions beyond the cap block the
     /// connection's reader until a slot frees — back-pressure, not an
-    /// error — so one client can neither spawn unbounded waiter
-    /// threads nor, by refusing to read responses, queue unbounded
-    /// response memory server-side.
+    /// error — so one client can neither put unbounded jobs in flight
+    /// nor, by refusing to read responses, queue unbounded response
+    /// memory server-side.
     pub max_inflight: usize,
     /// Additional cap on in-flight requests summed over *all*
     /// connections, so many clients cannot jointly oversubscribe the
@@ -378,17 +378,22 @@ impl InflightSlots {
     }
 }
 
-/// One connection: a reader loop that dispatches requests, one writer
-/// thread that serializes all responses onto the socket, and a detached
-/// waiter thread per in-flight job. Job responses reach the writer in
-/// completion order, giving out-of-order pipelining; the per-connection
-/// [`InflightGate`] bounds the waiter threads.
+/// One connection: a reader loop that dispatches requests and one
+/// writer thread that serializes all responses onto the socket. The
+/// pool worker that finishes a job queues its response to the writer
+/// directly, so job responses arrive in completion order, giving
+/// out-of-order pipelining; the per-connection [`InflightGate`] bounds
+/// the connection's in-flight jobs and its queued response memory.
 fn serve_connection(
     stream: TcpStream,
     pool: &Arc<DsePool>,
     slots: InflightSlots,
     shutdown: &ConnectionShutdown,
 ) -> Result<(), ServiceError> {
+    // Every frame goes out in one write, but with several responses in
+    // flight on one connection, Nagle's algorithm would still hold each
+    // response behind the ACK of the one before it.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let (tx, rx) = channel::<(Json, Encoding)>();
     let metrics = pool.state().metrics();
@@ -467,12 +472,12 @@ fn serve_connection(
 }
 
 /// Dispatch one request: control and admin verbs answer inline, job
-/// submissions are handed to the pool and answered from a waiter thread
-/// when they complete. Every response path takes both gate slots
-/// *before* queueing; the global slot frees when the response is
-/// queued, the local slot only after the writer thread has put it on
-/// the socket (see [`InflightSlots`]). Returns `true` if the server
-/// should shut down.
+/// submissions are handed to the pool, whose finishing worker queues
+/// the response when the job completes. Every response path takes
+/// both gate slots *before* queueing; the global slot frees when the
+/// response is queued, the local slot only after the writer thread has
+/// put it on the socket (see [`InflightSlots`]). Returns `true` if the
+/// server should shut down.
 fn dispatch_message(
     pool: &Arc<DsePool>,
     payload: &str,
@@ -517,10 +522,11 @@ fn dispatch_message(
     };
     let decode_ns = elapsed_ns(decode_start);
     pool.state().stages().frame_decode_ns.record(decode_ns);
-    // Job submissions get a waiter thread; everything else answers
-    // inline through the exhaustive control match. Admin verbs skip
-    // the admission check on purpose: an operator must always be able
-    // to reach (and retune) a shedding server.
+    // Job submissions are answered by the pool's completion callback;
+    // everything else answers inline through the exhaustive control
+    // match. Admin verbs skip the admission check on purpose: an
+    // operator must always be able to reach (and retune) a shedding
+    // server.
     if let Request::Submit(job) = request {
         let state = pool.state();
         let inflight = state.stages().jobs_inflight.get().max(0) as u64;
@@ -539,14 +545,15 @@ fn dispatch_message(
         state.stages().jobs_inflight.inc();
         let trace = Trace::new(job.id);
         trace.add("frame_decode", decode_ns);
-        let pending = pool.submit_traced(&job, Some(Arc::clone(&trace)));
         let tx = tx.clone();
         let job_id = job.id;
         let slots = slots.clone();
-        let pool = Arc::clone(pool);
-        std::thread::spawn(move || {
-            let response = job_response(job_id, pending.wait());
-            let state = pool.state();
+        // The callback holds the state, never the pool: it runs on a
+        // pool worker, which must not end up dropping its own pool.
+        let state = Arc::clone(state);
+        let traced = Some(Arc::clone(&trace));
+        pool.submit_then(&job, traced, move |outcome| {
+            let response = job_response(job_id, outcome);
             let total_ns = state.slow_log().observe(&trace);
             state.stages().request_ns.record(total_ns);
             if let Some(entry) = state.slow_log().capture(&trace, total_ns) {

@@ -76,6 +76,15 @@ pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
 
 /// Write one message in the chosen encoding and flush.
 ///
+/// The whole frame — binary header or text newline included — is
+/// assembled into one buffer and handed to `writer` in a single
+/// `write_all`, so a frame larger than a [`BufWriter`]'s capacity
+/// reaches the socket in one `write` instead of a payload write
+/// followed by a tiny trailer write that Nagle's algorithm would hold
+/// back until the peer's delayed ACK.
+///
+/// [`BufWriter`]: std::io::BufWriter
+///
 /// # Errors
 ///
 /// Propagates I/O failures; rejects payloads beyond [`MAX_FRAME_BYTES`]
@@ -85,12 +94,7 @@ pub fn write_message(
     payload: &str,
     encoding: Encoding,
 ) -> Result<(), ServiceError> {
-    let write = |writer: &mut dyn Write, bytes: &[u8]| {
-        writer
-            .write_all(bytes)
-            .map_err(|e| timeout_aware(e, "write"))
-    };
-    match encoding {
+    let frame = match encoding {
         Encoding::Binary => {
             if payload.len() > MAX_FRAME_BYTES {
                 return Err(ServiceError::protocol(format!(
@@ -98,17 +102,23 @@ pub fn write_message(
                     payload.len()
                 )));
             }
-            write(writer, &[FRAME_MARKER])?;
-            write(writer, &(payload.len() as u32).to_be_bytes())?;
-            write(writer, payload.as_bytes())?;
+            let mut frame = Vec::with_capacity(5 + payload.len());
+            frame.push(FRAME_MARKER);
+            frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+            frame.extend_from_slice(payload.as_bytes());
+            frame
         }
         Encoding::Text => {
-            write(writer, payload.as_bytes())?;
-            write(writer, b"\n")?;
+            let mut frame = Vec::with_capacity(payload.len() + 1);
+            frame.extend_from_slice(payload.as_bytes());
+            frame.push(b'\n');
+            frame
         }
-    }
-    writer.flush().map_err(|e| timeout_aware(e, "write"))?;
-    Ok(())
+    };
+    writer
+        .write_all(&frame)
+        .and_then(|()| writer.flush())
+        .map_err(|e| timeout_aware(e, "write"))
 }
 
 /// Read one message, auto-detecting its encoding from the first byte.
@@ -382,6 +392,52 @@ mod tests {
         let mut w = PartialThenStall { accepted: 3 };
         let err = write_message(&mut w, r#"{"id":12345}"#, Encoding::Text).unwrap_err();
         assert!(matches!(err, ServiceError::Timeout(_)), "{err}");
+    }
+
+    /// Counts the `write` calls that reach the inner writer.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frames_larger_than_the_buffer_reach_the_writer_in_one_write() {
+        // A lone trailing write (the text newline, or a binary header
+        // flushed apart from its payload) would wait out the peer's
+        // delayed ACK under Nagle's algorithm.
+        let payload = format!("{{\"pad\":\"{}\"}}", "x".repeat(20 * 1024));
+        for encoding in [Encoding::Text, Encoding::Binary] {
+            let mut out = std::io::BufWriter::new(CountingWriter::default());
+            write_message(&mut out, &payload, encoding).unwrap();
+            let inner = out.get_ref();
+            assert_eq!(
+                inner.writes, 1,
+                "{encoding:?} frame took {} writes",
+                inner.writes
+            );
+            let mut reader = BufReader::new(&inner.bytes[..]);
+            assert_eq!(
+                read_message(&mut reader).unwrap(),
+                Some((payload.clone(), encoding))
+            );
+        }
+        // Small frames still coalesce in the buffer and go out in one
+        // write at the flush.
+        let mut out = std::io::BufWriter::new(CountingWriter::default());
+        write_message(&mut out, r#"{"id":1}"#, Encoding::Binary).unwrap();
+        assert_eq!(out.get_ref().writes, 1);
     }
 
     #[test]
