@@ -164,6 +164,18 @@ pub fn layer_cache_key(
     acc: &drmap_cnn::accelerator::AcceleratorConfig,
     config: &DseConfig,
 ) -> String {
+    layer_cache_key_with(engine_tag, layer, acc, &config.fingerprint())
+}
+
+/// [`layer_cache_key`] with the sweep's [`DseConfig::fingerprint`]
+/// already rendered, so a caller keying many layers of one sweep
+/// renders the fingerprint once instead of once per layer.
+pub fn layer_cache_key_with(
+    engine_tag: &str,
+    layer: &Layer,
+    acc: &drmap_cnn::accelerator::AcceleratorConfig,
+    fingerprint: &str,
+) -> String {
     format!(
         "{engine_tag}|h{}w{}j{}i{}p{}q{}s{}g{}|ib{}wb{}ob{}px{}b{}|{}",
         layer.h,
@@ -179,7 +191,7 @@ pub fn layer_cache_key(
         acc.ofms_buffer,
         acc.precision.bytes(),
         acc.batch,
-        config.fingerprint(),
+        fingerprint,
     )
 }
 

@@ -618,6 +618,31 @@ impl DseCache {
         }
     }
 
+    /// All-or-nothing resident lookup of several keys under one lock
+    /// acquisition. Returns the values in key order only when every key
+    /// is resident; each then counts as a hit and becomes most recently
+    /// used, exactly as one [`DseCache::get`] per key would. If any key
+    /// is missing, returns `None` and touches no counter and no recency,
+    /// so the caller's per-key lookups count as if this probe never
+    /// happened. The store tier is not consulted.
+    pub fn get_all(&self, keys: &[String]) -> Option<Vec<LayerDseResult>> {
+        let mut inner = lock_recovered(&self.inner);
+        let indices = keys
+            .iter()
+            .map(|key| inner.map.get(key.as_str()).copied())
+            .collect::<Option<Vec<usize>>>()?;
+        inner.hits += indices.len() as u64;
+        Some(
+            indices
+                .into_iter()
+                .map(|index| {
+                    inner.touch(index);
+                    inner.entry(index).value.clone()
+                })
+                .collect(),
+        )
+    }
+
     /// Store a result, evicting least-recently-used entries as needed
     /// to keep the cache within its bounds. Concurrent computations of
     /// the same key may both insert; they computed identical values, so
@@ -1013,6 +1038,31 @@ mod tests {
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
         assert!(stats.bytes > 0, "insertions are byte-accounted");
         assert_eq!(stats.evictions, 0);
+    }
+
+    #[test]
+    fn get_all_answers_only_when_every_key_is_resident() {
+        let cache = DseCache::with_config(CacheConfig::unbounded().with_max_entries(2));
+        cache.insert("a".into(), result("A"));
+        cache.insert("b".into(), result("B"));
+        let keys = |names: &[&str]| names.iter().map(|&n| n.to_owned()).collect::<Vec<_>>();
+        // A partial hit counts nothing and refreshes nothing.
+        assert!(cache.get_all(&keys(&["a", "x"])).is_none());
+        assert_eq!((cache.stats().hits, cache.stats().misses), (0, 0));
+        // A full hit counts one hit per key (repeats included), in key
+        // order, and refreshes recency: `a` is now most recent, so the
+        // next insertion evicts `b`.
+        let names: Vec<String> = cache
+            .get_all(&keys(&["b", "a", "b", "a"]))
+            .unwrap()
+            .into_iter()
+            .map(|r| r.layer_name)
+            .collect();
+        assert_eq!(names, ["B", "A", "B", "A"]);
+        assert_eq!((cache.stats().hits, cache.stats().misses), (4, 0));
+        cache.insert("c".into(), result("C"));
+        assert!(cache.get("a").is_some());
+        assert!(cache.get("b").is_none());
     }
 
     #[test]

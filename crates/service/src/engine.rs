@@ -11,11 +11,13 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{SystemTime, UNIX_EPOCH};
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use drmap_cnn::accelerator::AcceleratorConfig;
 use drmap_cnn::layer::Layer;
-use drmap_core::dse::{layer_cache_key, DseConfig, DseEngine, LayerDseResult};
+use drmap_core::dse::{
+    layer_cache_key, layer_cache_key_with, DseConfig, DseEngine, LayerDseResult,
+};
 use drmap_core::edp::EdpModel;
 use drmap_core::error::DseError;
 use drmap_dram::geometry::Geometry;
@@ -31,7 +33,7 @@ use crate::cache::{CacheConfig, CacheMetrics, CacheOutcome, DseCache};
 use crate::error::ServiceError;
 use crate::faults::{FaultAction, FaultState, FAULTS_COMPILED_IN};
 use crate::overload::OverloadController;
-use crate::spec::{CacheMode, EngineSpec, JobResult, JobSpec, LayerOutcome};
+use crate::spec::{CacheMode, EngineSpec, JobOptions, JobResult, JobSpec, LayerOutcome};
 
 /// How many slow requests the [`SlowLog`] ring buffer retains by
 /// default (retunable live: `--slow-log-cap` at boot, the
@@ -160,6 +162,9 @@ pub(crate) struct StageMetrics {
     pub(crate) merge_ns: Arc<Histogram>,
     /// Jobs submitted through the pool.
     pub(crate) jobs_total: Arc<Counter>,
+    /// Jobs answered on the submitting thread because every layer was
+    /// resident (never queued, so no `queue_wait_ns` sample).
+    pub(crate) jobs_resident_total: Arc<Counter>,
     /// Per-layer tasks processed by workers.
     pub(crate) layers_total: Arc<Counter>,
     /// Layer lookups answered from the resident cache tier.
@@ -192,6 +197,7 @@ impl StageMetrics {
             shard_chunk_ns: registry.histogram("shard_chunk_ns"),
             merge_ns: registry.histogram("merge_ns"),
             jobs_total: registry.counter("jobs_total"),
+            jobs_resident_total: registry.counter("jobs_resident_total"),
             layers_total: registry.counter("layers_total"),
             cache_hits_total: registry.counter("cache_hits_total"),
             cache_misses_total: registry.counter("cache_misses_total"),
@@ -487,15 +493,17 @@ impl ServiceState {
         tag: &str,
         layer: &Layer,
     ) -> Result<(LayerDseResult, CacheOutcome), DseError> {
-        self.explore_layer_cached_with(engine, tag, layer, CacheMode::Default, || {
+        let acc = engine.model().traffic_model().accelerator();
+        let key = layer_cache_key(tag, layer, acc, engine.config());
+        self.explore_layer_cached_traced(layer, &key, CacheMode::Default, None, || {
             engine.explore_layer(layer)
         })
     }
 
-    /// [`ServiceState::explore_layer_cached`] with a caller-supplied
-    /// cache mode and exploration strategy: `explore` runs only when
-    /// `mode` says the lookup should fall through to computation (for
-    /// [`CacheMode::Default`], when both cache tiers miss and no
+    /// Look up one layer under its precomputed cache `key` (see
+    /// [`layer_keys`]) in the given cache mode, running `explore` only
+    /// when `mode` says the lookup should fall through to computation
+    /// (for [`CacheMode::Default`], when both cache tiers miss and no
     /// equivalent computation is in flight; always for
     /// [`CacheMode::Bypass`]/[`CacheMode::Refresh`]). The worker pool
     /// uses this to shard an oversized layer's tiling range across
@@ -504,50 +512,23 @@ impl ServiceState {
     /// merges are exact, so this holds by construction), or cached and
     /// computed results would diverge.
     ///
+    /// The whole lookup is timed as a `cache_lookup` span and the
+    /// computation (when the lookup falls through) as a nested
+    /// `explore` span, both recorded in the stage histograms and — when
+    /// a trace is attached — in that request's stage breakdown.
+    /// Instrumentation never touches the result, so bit-identity across
+    /// paths is preserved.
+    ///
     /// # Errors
     ///
     /// Propagates `explore` failures (shared by every caller coalesced
-    /// onto the failing computation). Failures are not cached.
-    pub fn explore_layer_cached_with<F>(
-        &self,
-        engine: &DseEngine,
-        tag: &str,
-        layer: &Layer,
-        mode: CacheMode,
-        explore: F,
-    ) -> Result<(LayerDseResult, CacheOutcome), DseError>
-    where
-        F: FnOnce() -> Result<LayerDseResult, DseError>,
-    {
-        self.explore_layer_cached_traced(engine, tag, layer, mode, None, None, explore)
-    }
-
-    /// [`ServiceState::explore_layer_cached_with`] with an optional
-    /// per-request [`Trace`]: the whole lookup is timed as a
-    /// `cache_lookup` span and the computation (when the lookup falls
-    /// through) as a nested `explore` span, both recorded in the stage
-    /// histograms and — when a trace is attached — in that request's
-    /// stage breakdown. Instrumentation never touches the result, so
-    /// bit-identity across paths is preserved.
-    ///
-    /// A ranged sweep (`range`, from
-    /// [`JobOptions::tiling_range`](crate::spec::JobOptions)) is keyed
-    /// with a `|range=start..end` suffix so partial results — the unit
-    /// the router's `--scatter` mode distributes — never alias the full
-    /// layer's cache entry, in either the resident tier or the store.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `explore` failures; failures are not cached.
-    #[allow(clippy::too_many_arguments)]
+    /// onto the failing computation); failures are not cached.
     pub(crate) fn explore_layer_cached_traced<F>(
         &self,
-        engine: &DseEngine,
-        tag: &str,
         layer: &Layer,
+        key: &str,
         mode: CacheMode,
         trace: Option<&Arc<Trace>>,
-        range: Option<(u64, u64)>,
         explore: F,
     ) -> Result<(LayerDseResult, CacheOutcome), DseError>
     where
@@ -555,13 +536,8 @@ impl ServiceState {
     {
         let _lookup = Span::enter("cache_lookup", &self.stages.cache_lookup_ns).traced(trace);
         self.stages.layers_total.inc();
-        let acc = engine.model().traffic_model().accelerator();
-        let mut key = layer_cache_key(tag, layer, acc, engine.config());
-        if let Some((start, end)) = range {
-            key.push_str(&format!("|range={start}..{end}"));
-        }
         let stages = &self.stages;
-        let (mut result, outcome) = self.cache.get_or_compute_with(&key, mode, || {
+        let (mut result, outcome) = self.cache.get_or_compute_with(key, mode, || {
             let _explore = Span::enter("explore", &stages.explore_ns).traced(trace);
             explore()
         })?;
@@ -579,6 +555,38 @@ impl ServiceState {
         Ok((result, outcome))
     }
 
+    /// Answer every layer of a job from the resident tier under one
+    /// cache lock ([`DseCache::get_all`]), re-labelled with the
+    /// requesting layers' names. `None` when any key is not resident,
+    /// and then nothing is counted. On `Some`, the layers count as
+    /// resident hits exactly as per-layer lookups would, and each layer
+    /// records one `cache_lookup` sample: its even share of the probe.
+    pub(crate) fn resident_layers(
+        &self,
+        layers: &[Layer],
+        keys: &[String],
+        trace: Option<&Arc<Trace>>,
+    ) -> Option<Vec<LayerDseResult>> {
+        let start = Instant::now();
+        let mut results = self.cache.get_all(keys)?;
+        for (result, layer) in results.iter_mut().zip(layers) {
+            if result.layer_name != layer.name {
+                result.layer_name.clone_from(&layer.name);
+            }
+        }
+        let count = results.len() as u64;
+        self.stages.layers_total.add(count);
+        self.stages.cache_hits_total.add(count);
+        let share = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX) / count.max(1);
+        for _ in 0..count {
+            self.stages.cache_lookup_ns.record(share);
+            if let Some(trace) = trace {
+                trace.add("cache_lookup", share);
+            }
+        }
+        Some(results)
+    }
+
     /// Run a whole job sequentially on the calling thread (the reference
     /// path; the worker pool produces bit-identical results in parallel).
     ///
@@ -591,18 +599,16 @@ impl ServiceState {
             .engine_with(&spec.engine, spec.options.keep_points);
         let tag = self.factory.engine_tag(&spec.engine);
         let range = spec.options.tiling_range;
-        let mut outcomes = Vec::with_capacity(spec.workload.layers().len());
+        let layers = spec.workload.layers();
+        let acc = engine.model().traffic_model().accelerator();
+        let keys = layer_keys(&tag, acc, engine.config(), layers, &spec.options);
+        let mut outcomes = Vec::with_capacity(layers.len());
         let mut total = drmap_core::edp::EdpEstimate::zero(engine.model().table().t_ck_ns);
-        for layer in spec.workload.layers() {
-            let (result, outcome) = self.explore_layer_cached_traced(
-                &engine,
-                &tag,
-                layer,
-                spec.options.cache,
-                None,
-                range,
-                || explore_layer_ranged(&engine, layer, range),
-            )?;
+        for (layer, key) in layers.iter().zip(&keys) {
+            let (result, outcome) =
+                self.explore_layer_cached_traced(layer, key, spec.options.cache, None, || {
+                    explore_layer_ranged(&engine, layer, range)
+                })?;
             total.accumulate(&result.best.estimate);
             outcomes.push(outcome_from_result(result, outcome));
         }
@@ -613,6 +619,37 @@ impl ServiceState {
             layers: outcomes,
         })
     }
+}
+
+/// The cache keys of a job's layers, in layer order: each is
+/// [`layer_cache_key`] over the job's accelerator and sweep
+/// configuration, with the sweep fingerprint rendered once for the
+/// whole job. A ranged sweep ([`JobOptions::tiling_range`]) is keyed
+/// with a `|range=start..end` suffix so partial results — the unit the
+/// router's `--scatter` mode distributes — never alias the full layer's
+/// cache entry, in either the resident tier or the store.
+///
+/// A [`CacheMode::Bypass`] job never reads or writes the cache, so its
+/// keys are left empty and nothing is formatted.
+pub(crate) fn layer_keys(
+    tag: &str,
+    acc: &AcceleratorConfig,
+    config: &DseConfig,
+    layers: &[Layer],
+    options: &JobOptions,
+) -> Vec<String> {
+    if options.cache == CacheMode::Bypass {
+        return vec![String::new(); layers.len()];
+    }
+    let fingerprint = config.fingerprint();
+    let range = options
+        .tiling_range
+        .map(|(start, end)| format!("|range={start}..{end}"))
+        .unwrap_or_default();
+    layers
+        .iter()
+        .map(|layer| layer_cache_key_with(tag, layer, acc, &fingerprint) + &range)
+        .collect()
 }
 
 /// Explore a layer, restricted to `range` when one is set. The ranged
@@ -662,9 +699,10 @@ pub fn job_route_key(spec: &JobSpec) -> String {
         ..DseConfig::default()
     };
     let tag = format!("{}@{}", spec.engine.arch.label(), SUBSTRATE);
+    let fingerprint = config.fingerprint();
     let mut key = String::new();
     for layer in spec.workload.layers() {
-        key.push_str(&layer_cache_key(&tag, layer, &acc, &config));
+        key.push_str(&layer_cache_key_with(&tag, layer, &acc, &fingerprint));
         key.push('\n');
     }
     key
@@ -759,6 +797,49 @@ mod tests {
             fresh.best.estimate.energy.to_bits()
         );
         assert_eq!(state.cache().stats().entries, 1);
+    }
+
+    #[test]
+    fn job_layer_keys_match_layer_cache_key_byte_for_byte() {
+        let factory = EngineFactory::table_ii().unwrap();
+        let acc = factory.accelerator();
+        let catalog = crate::loadgen::default_catalog();
+        for arch in DramArch::ALL {
+            let tag = factory.engine_tag(&EngineSpec::for_arch(arch));
+            for keep_points in [false, true] {
+                let config = DseConfig {
+                    keep_points,
+                    ..DseConfig::default()
+                };
+                for tiling_range in [None, Some((2, 9))] {
+                    let options = JobOptions {
+                        keep_points,
+                        tiling_range,
+                        ..JobOptions::default()
+                    };
+                    for job in &catalog {
+                        let layers = job.workload.layers();
+                        let keys = layer_keys(&tag, acc, &config, layers, &options);
+                        assert_eq!(keys.len(), layers.len());
+                        for (layer, key) in layers.iter().zip(&keys) {
+                            let mut want = layer_cache_key(&tag, layer, acc, &config);
+                            if let Some((start, end)) = tiling_range {
+                                want.push_str(&format!("|range={start}..{end}"));
+                            }
+                            assert_eq!(key, &want);
+                        }
+                    }
+                }
+            }
+        }
+        // Bypass jobs never touch the cache, so nothing is formatted.
+        let bypass = JobOptions {
+            cache: CacheMode::Bypass,
+            ..JobOptions::default()
+        };
+        let layers = catalog[0].workload.layers();
+        let keys = layer_keys("t", acc, &DseConfig::default(), layers, &bypass);
+        assert!(keys.iter().all(String::is_empty));
     }
 
     #[test]

@@ -40,6 +40,15 @@
 //! is dropped without running (the queue was already shut down) fills
 //! its slot with an error, so every job completes exactly once.
 //!
+//! A job whose every layer is already resident never reaches the
+//! queue. [`DsePool::submit_then`] renders the job's layer keys once,
+//! probes the resident tier for all of them under one cache lock, and
+//! on a full hit assembles the result and runs the callback on the
+//! submitting thread (counted in `jobs_resident_total`). The probe is
+//! all or nothing: a partially resident job, a `bypass` or `refresh`
+//! job, and a fault plan's panic victim queue their layers as above,
+//! reusing the keys, and count exactly as if no probe had happened.
+//!
 //! Determinism: workers may *compute* layers (and chunks) in any order,
 //! but results are reassembled in layer (and range) order and totals
 //! are accumulated exactly as the direct engine does, so a job's
@@ -55,16 +64,16 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use drmap_cnn::layer::Layer;
-use drmap_core::dse::{LayerDseResult, LayerPartial, SharedEngine};
+use drmap_core::dse::{DseEngine, LayerDseResult, LayerPartial, SharedEngine};
 use drmap_core::edp::EdpEstimate;
 use drmap_core::error::DseError;
 use drmap_core::tiling::{enumerate_tilings, Tiling};
 use drmap_telemetry::{Histogram, Span, Trace};
 
 use crate::cache::CacheOutcome;
-use crate::engine::{outcome_from_result, ServiceState};
+use crate::engine::{layer_keys, outcome_from_result, ServiceState};
 use crate::error::{panic_message, ServiceError, DEADLINE_MARKER};
-use crate::spec::{JobOptions, JobResult, JobSpec};
+use crate::spec::{CacheMode, JobOptions, JobResult, JobSpec};
 use crate::sync::lock_recovered;
 
 type LayerReply = Result<(LayerDseResult, CacheOutcome), DseError>;
@@ -113,34 +122,55 @@ impl Completion {
         }
     }
 
-    /// Assemble the result and run the callback. A panicking callback
-    /// is contained here, so the worker that finished the job survives.
+    /// Assemble the result and run the callback.
     fn finish(&self) {
         let outcome = self.assemble();
         if let Some(on_done) = lock_recovered(&self.on_done).take() {
-            let _ = std::panic::catch_unwind(AssertUnwindSafe(|| on_done(outcome)));
+            run_on_done(on_done, outcome);
         }
     }
 
-    /// The job's result in layer order, totals accumulated exactly as
-    /// the direct engine does; the lowest-indexed layer failure wins.
+    /// The job's result from its slots; the lowest-indexed layer
+    /// failure wins.
     fn assemble(&self) -> JobOutcome {
-        let mut total = EdpEstimate::zero(self.t_ck_ns);
-        let mut outcomes = Vec::with_capacity(self.slots.len());
-        for slot in &self.slots {
-            let (result, outcome) = lock_recovered(slot)
+        let replies = self.slots.iter().map(|slot| {
+            lock_recovered(slot)
                 .take()
-                .ok_or_else(|| ServiceError::protocol("a layer never received its reply"))??;
-            total.accumulate(&result.best.estimate);
-            outcomes.push(outcome_from_result(result, outcome));
-        }
-        Ok(JobResult {
-            id: self.id,
-            workload: self.workload.clone(),
-            total,
-            layers: outcomes,
-        })
+                .ok_or_else(|| ServiceError::protocol("a layer never received its reply"))?
+                .map_err(ServiceError::from)
+        });
+        assemble(self.id, self.workload.clone(), self.t_ck_ns, replies)
     }
+}
+
+/// Fold a job's per-layer results into its [`JobResult`] in layer
+/// order, totals accumulated exactly as the direct engine does; the
+/// first failure wins.
+fn assemble(
+    id: u64,
+    workload: String,
+    t_ck_ns: f64,
+    replies: impl ExactSizeIterator<Item = Result<(LayerDseResult, CacheOutcome), ServiceError>>,
+) -> JobOutcome {
+    let mut total = EdpEstimate::zero(t_ck_ns);
+    let mut outcomes = Vec::with_capacity(replies.len());
+    for reply in replies {
+        let (result, outcome) = reply?;
+        total.accumulate(&result.best.estimate);
+        outcomes.push(outcome_from_result(result, outcome));
+    }
+    Ok(JobResult {
+        id,
+        workload,
+        total,
+        layers: outcomes,
+    })
+}
+
+/// Run a job's completion callback, containing a panic so the thread
+/// that finished the job (a pool worker, or the submitter) survives.
+fn run_on_done(on_done: impl FnOnce(JobOutcome), outcome: JobOutcome) {
+    let _ = std::panic::catch_unwind(AssertUnwindSafe(|| on_done(outcome)));
 }
 
 /// A layer task's claim on its slot of the job's [`Completion`].
@@ -204,7 +234,8 @@ impl Deadline {
 struct LayerTask {
     state: Arc<ServiceState>,
     engine: SharedEngine,
-    tag: Arc<str>,
+    /// The layer's cache key, rendered once at submission.
+    key: String,
     layer: Layer,
     options: JobOptions,
     deadline: Option<Deadline>,
@@ -497,6 +528,15 @@ fn explore_maybe_sharded(
     shard.wait_and_merge()
 }
 
+/// A submitted job, counted and keyed, before it is answered or queued.
+struct Admitted {
+    /// An armed fault plan chose this job as its panic victim.
+    inject_panic: bool,
+    engine: DseEngine,
+    /// One cache key per layer, in layer order ([`layer_keys`]).
+    keys: Vec<String>,
+}
+
 /// A multi-threaded DSE job pool over shared [`ServiceState`].
 #[derive(Debug)]
 pub struct DsePool {
@@ -589,7 +629,7 @@ impl DsePool {
         self.workers
     }
 
-    /// Enqueue a job's layers and return a handle to await the result.
+    /// Submit a job and return a handle to await the result.
     /// Submission never blocks on exploration work. The job's
     /// [`JobOptions`] travel with every layer task: the cache mode and
     /// shard-chunk hint steer the worker's leader path, and
@@ -612,54 +652,107 @@ impl DsePool {
         PendingJob { outcome }
     }
 
-    /// Enqueue a job's layers and return at once; `on_done` runs
-    /// exactly once with the job's outcome, on the worker that finishes
-    /// its last layer (or on the calling thread, if the job completes
-    /// during submission). Keep the callback short: it holds that
-    /// worker until it returns.
+    /// Submit a job and return at once; `on_done` runs exactly once
+    /// with the job's outcome, on the worker that finishes its last
+    /// layer, or on the calling thread if the job completes during
+    /// submission. Keep the callback short: it holds that thread until
+    /// it returns.
+    ///
+    /// A [`CacheMode::Default`] job whose every layer is resident
+    /// completes during submission: one cache probe answers it, and no
+    /// layer is queued. Any other job has its layers queued.
     pub fn submit_then(
         &self,
         spec: &JobSpec,
         trace: Option<Arc<Trace>>,
         on_done: impl FnOnce(JobOutcome) + Send + 'static,
     ) {
+        let job = self.admit(spec);
+        if spec.options.cache == CacheMode::Default && !job.inject_panic {
+            if let Some(outcome) = self.answer_resident(spec, &job, trace.as_ref()) {
+                self.state.stages().jobs_resident_total.inc();
+                run_on_done(on_done, outcome);
+                return;
+            }
+        }
+        self.enqueue(spec, job, trace, Box::new(on_done));
+    }
+
+    /// Count a submitted job, take its fault-plan ordinal ticket, and
+    /// build its engine and layer keys.
+    fn admit(&self, spec: &JobSpec) -> Admitted {
         self.state.stages().jobs_total.inc();
         // ordering: Relaxed — a pure submission ticket; the fault
         // plan's panic-job match needs uniqueness, not ordering.
         let ordinal = self.submitted.fetch_add(1, Ordering::Relaxed) + 1;
-        // An armed plan's chosen job panics in exactly one of its
-        // layer tasks (the first): one injected panic per plan, and
-        // the job still exercises the full reply path for the rest.
-        let inject_panic = self.state.faults().job_panics(ordinal);
-        let deadline = Deadline::of(&spec.options);
-        let engine = self
+        let factory = self.state.factory();
+        let engine = factory.engine_with(&spec.engine, spec.options.keep_points);
+        let keys = layer_keys(
+            &factory.engine_tag(&spec.engine),
+            engine.model().traffic_model().accelerator(),
+            engine.config(),
+            spec.workload.layers(),
+            &spec.options,
+        );
+        Admitted {
+            inject_panic: self.state.faults().job_panics(ordinal),
+            engine,
+            keys,
+        }
+    }
+
+    /// The job's result when every layer is resident, taken under one
+    /// cache lock; `None` (nothing counted) otherwise.
+    fn answer_resident(
+        &self,
+        spec: &JobSpec,
+        job: &Admitted,
+        trace: Option<&Arc<Trace>>,
+    ) -> Option<JobOutcome> {
+        let results = self
             .state
-            .factory()
-            .engine_with(&spec.engine, spec.options.keep_points)
-            .into_shared();
-        let tag: Arc<str> = self.state.factory().engine_tag(&spec.engine).into();
+            .resident_layers(spec.workload.layers(), &job.keys, trace)?;
+        Some(assemble(
+            spec.id,
+            spec.workload.name().to_owned(),
+            job.engine.model().table().t_ck_ns,
+            results
+                .into_iter()
+                .map(|result| Ok((result, CacheOutcome::Hit))),
+        ))
+    }
+
+    /// Queue one task per layer; the worker that finishes the last one
+    /// runs `on_done`.
+    fn enqueue(&self, spec: &JobSpec, job: Admitted, trace: Option<Arc<Trace>>, on_done: OnDone) {
+        let deadline = Deadline::of(&spec.options);
+        let engine = job.engine.into_shared();
         let t_ck_ns = engine.model().table().t_ck_ns;
-        let layers = spec.workload.layers();
         // Every workload has at least one layer (`Network::new` rejects
         // empty networks), so some slot's report always finishes the job.
-        let job = Arc::new(Completion::new(spec, t_ck_ns, Box::new(on_done)));
+        let completion = Arc::new(Completion::new(spec, t_ck_ns, on_done));
         let queue = self
             .queue
             .as_ref()
             .expect("queue lives as long as the pool");
-        for (index, layer) in layers.iter().enumerate() {
+        let layers = spec.workload.layers().iter().zip(job.keys);
+        for (index, (layer, key)) in layers.enumerate() {
             let task = LayerTask {
                 state: Arc::clone(&self.state),
                 engine: Arc::clone(&engine),
-                tag: Arc::clone(&tag),
+                key,
                 layer: layer.clone(),
                 options: spec.options,
                 deadline,
-                inject_panic: inject_panic && index == 0,
+                // An armed plan's chosen job panics in exactly one of
+                // its layer tasks (the first): one injected panic per
+                // plan, and the job still exercises the full reply path
+                // for the rest.
+                inject_panic: job.inject_panic && index == 0,
                 trace: trace.clone(),
                 enqueued: Instant::now(),
                 slot: LayerSlot {
-                    job: Some(Arc::clone(&job)),
+                    job: Some(Arc::clone(&completion)),
                     index,
                 },
             };
@@ -726,7 +819,7 @@ fn worker_loop(rx: &Mutex<Receiver<Task>>, shared: &PoolShared) {
         }
         // Catch panics so the slot is *always* filled: a worker that
         // unwound without reporting would leave the job incomplete
-        // forever. (`explore_layer_cached_with` already converts panics
+        // forever. (The cache lookup already converts panics
         // inside the exploration itself; this guards everything else —
         // and is exactly the mechanism an injected fault-plan panic
         // probes.)
@@ -738,12 +831,10 @@ fn worker_loop(rx: &Mutex<Receiver<Task>>, shared: &PoolShared) {
             }
             let range = task.options.tiling_range;
             task.state.explore_layer_cached_traced(
-                &task.engine,
-                &task.tag,
                 &task.layer,
+                &task.key,
                 task.options.cache,
                 task.trace.as_ref(),
-                range,
                 || {
                     if range.is_some() {
                         // A ranged job *is* a shard (the router's
@@ -1038,17 +1129,24 @@ mod tests {
     #[test]
     fn armed_panic_job_surfaces_a_typed_error_and_is_counted() {
         let state = ServiceState::new().unwrap();
-        state
-            .faults()
-            .set_plan(Some(
-                crate::faults::FaultPlan::parse("seed=1,panic-job=2").unwrap(),
-            ))
-            .unwrap();
+        let armed = state.faults().set_plan(Some(
+            crate::faults::FaultPlan::parse("seed=1,panic-job=2").unwrap(),
+        ));
+        if !crate::faults::FAULTS_COMPILED_IN {
+            // Release builds without the `faults` feature refuse to arm
+            // a plan, with a typed error.
+            let err = armed.unwrap_err();
+            assert!(matches!(err, ServiceError::Protocol(_)), "{err:?}");
+            assert!(err.to_string().contains("not compiled into this build"));
+            return;
+        }
+        armed.unwrap();
         let pool = DsePool::new(Arc::clone(&state), 2);
         let spec = JobSpec::network(9, EngineSpec::default(), Network::tiny());
         // Job 1 is not the chosen ordinal.
         pool.submit(&spec).wait().unwrap();
-        // Job 2 panics a worker; the reply path converts it to a typed
+        // Job 2 is fully resident, yet as the plan's victim it is queued
+        // and panics a worker; the reply path converts it to a typed
         // job error instead of hanging the submitter.
         let err = pool.submit(&spec).wait().unwrap_err();
         assert!(err.to_string().contains("injected fault-plan worker panic"));
@@ -1056,8 +1154,186 @@ mod tests {
             state.metrics().snapshot().counter("fault_pool_total"),
             Some(1)
         );
-        // The plan fires once: job 3 (same spec, warm cache) succeeds.
+        assert_eq!(state.stages().jobs_resident_total.get(), 0);
+        // The plan fires once: job 3 (same spec, warm cache) succeeds,
+        // answered from the resident tier.
         pool.submit(&spec).wait().unwrap();
+        assert_eq!(state.stages().jobs_resident_total.get(), 1);
+    }
+
+    #[test]
+    fn a_resident_job_completes_on_the_calling_thread_during_submission() {
+        let state = ServiceState::new().unwrap();
+        let pool = DsePool::new(Arc::clone(&state), 2);
+        let spec = JobSpec::network(1, EngineSpec::default(), Network::tiny());
+        pool.submit(&spec).wait().unwrap();
+        let stages = state.stages();
+        assert_eq!(stages.jobs_resident_total.get(), 0, "a cold job is queued");
+        let queued = stages.queue_wait_ns.count();
+        let lookups = stages.cache_lookup_ns.count();
+
+        let trace = Trace::new(1);
+        let answered = Arc::new(Mutex::new(None));
+        let slot = Arc::clone(&answered);
+        pool.submit_then(&spec, Some(Arc::clone(&trace)), move |outcome| {
+            *lock_recovered(&slot) = Some((std::thread::current().id(), outcome));
+        });
+        let (thread, outcome) = lock_recovered(&answered)
+            .take()
+            .expect("on_done ran before submit_then returned");
+        assert_eq!(thread, std::thread::current().id());
+        let result = outcome.unwrap();
+        assert_eq!(result.cache_hits(), result.layers.len());
+        assert_eq!(stages.jobs_resident_total.get(), 1);
+        // Never queued, yet one lookup sample per layer, in the
+        // histogram and in the request's trace.
+        assert_eq!(stages.queue_wait_ns.count(), queued);
+        let layers = result.layers.len() as u64;
+        assert_eq!(stages.cache_lookup_ns.count(), lookups + layers);
+        let traced: Vec<&str> = trace.stages().iter().map(|(name, _)| *name).collect();
+        assert_eq!(traced, ["cache_lookup"]);
+    }
+
+    /// Everything a client can see of a job's answer, floats by bits;
+    /// only the per-layer cache flags may differ.
+    fn assert_same_answer(got: &JobResult, want: &JobResult) {
+        assert_eq!((got.id, &got.workload), (want.id, &want.workload));
+        assert_eq!(got.total.energy.to_bits(), want.total.energy.to_bits());
+        assert_eq!(got.total.cycles.to_bits(), want.total.cycles.to_bits());
+        assert_eq!(got.layers.len(), want.layers.len());
+        for (g, w) in got.layers.iter().zip(&want.layers) {
+            assert_eq!(g.name, w.name);
+            assert_eq!(
+                (&g.mapping, &g.scheme, g.tiling),
+                (&w.mapping, &w.scheme, w.tiling)
+            );
+            assert_eq!(g.evaluations, w.evaluations);
+            assert_eq!(g.estimate.energy.to_bits(), w.estimate.energy.to_bits());
+            assert_eq!(g.estimate.cycles.to_bits(), w.estimate.cycles.to_bits());
+            assert_eq!(g.pareto.len(), w.pareto.len());
+            for (gp, wp) in g.pareto.iter().zip(&w.pareto) {
+                assert_eq!(gp.label, wp.label);
+                assert_eq!(gp.estimate.energy.to_bits(), wp.estimate.energy.to_bits());
+                assert_eq!(gp.estimate.cycles.to_bits(), wp.estimate.cycles.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn resident_answers_are_bit_identical_to_the_sequential_path() {
+        let state = ServiceState::new().unwrap();
+        let pool = DsePool::new(Arc::clone(&state), 2);
+        let reference = ServiceState::new().unwrap();
+        let big = drmap_cnn::layer::Layer::conv("BIG", 13, 13, 64, 32, 3, 3, 1);
+        let specs = [
+            JobSpec::network(1, EngineSpec::default(), Network::tiny()),
+            JobSpec::network(2, EngineSpec::default(), Network::tiny()).with_options(JobOptions {
+                keep_points: true,
+                ..JobOptions::default()
+            }),
+            JobSpec::layer(3, EngineSpec::default(), big).with_options(JobOptions {
+                tiling_range: Some((1, 5)),
+                ..JobOptions::default()
+            }),
+        ];
+        for (answered, spec) in (1..).zip(&specs) {
+            pool.submit(spec).wait().unwrap();
+            let warm = pool.submit(spec).wait().unwrap();
+            assert_eq!(state.stages().jobs_resident_total.get(), answered);
+            assert!(warm.layers.iter().all(|layer| layer.cached));
+            let want = reference.run_job(spec).unwrap();
+            assert_same_answer(&warm, &want);
+        }
+        let pareto = &reference.run_job(&specs[1]).unwrap().layers[0].pareto;
+        assert!(!pareto.is_empty(), "the keep_points job carries a front");
+    }
+
+    /// Submit through the queued path alone, as a pool without the
+    /// resident probe would, and wait for the outcome.
+    fn submit_queued(pool: &DsePool, spec: &JobSpec) -> JobOutcome {
+        let (tx, rx) = channel();
+        let on_done = Box::new(move |outcome| {
+            let _ = tx.send(outcome);
+        });
+        pool.enqueue(spec, pool.admit(spec), None, on_done);
+        rx.recv().unwrap()
+    }
+
+    /// The counters the resident probe must leave as per-layer lookups
+    /// would leave them.
+    fn lookup_counters(state: &ServiceState) -> [u64; 5] {
+        let stats = state.cache().stats();
+        let stages = state.stages();
+        [
+            stats.hits,
+            stats.misses,
+            stages.cache_hits_total.get(),
+            stages.layers_total.get(),
+            stages.jobs_total.get(),
+        ]
+    }
+
+    #[test]
+    fn probes_count_exactly_like_a_pool_that_only_queues() {
+        // One worker each, so in-job layer order is deterministic.
+        let probed = ServiceState::new().unwrap();
+        let probing = DsePool::new(Arc::clone(&probed), 1);
+        let queued = ServiceState::new().unwrap();
+        let queuing = DsePool::new(Arc::clone(&queued), 1);
+        let tiny = Network::tiny();
+        let first = JobSpec::layer(1, EngineSpec::default(), tiny.layers()[0].clone());
+        let network = JobSpec::network(2, EngineSpec::default(), tiny);
+        // Warm one layer, then submit the half-resident network (the
+        // probe misses and the job is queued), then the network again
+        // (fully resident now: the probe answers it).
+        for (round, spec) in [&first, &network, &network].into_iter().enumerate() {
+            let got = probing.submit(spec).wait().unwrap();
+            let want = submit_queued(&queuing, spec).unwrap();
+            assert_same_answer(&got, &want);
+            assert_eq!(
+                lookup_counters(&probed),
+                lookup_counters(&queued),
+                "round {round}"
+            );
+        }
+        assert_eq!(probed.stages().jobs_resident_total.get(), 1);
+        assert_eq!(queued.stages().jobs_resident_total.get(), 0);
+    }
+
+    #[test]
+    fn bypass_and_refresh_jobs_never_take_the_resident_path() {
+        let state = ServiceState::new().unwrap();
+        let pool = DsePool::new(Arc::clone(&state), 2);
+        let spec = JobSpec::network(1, EngineSpec::default(), Network::tiny());
+        let layers = spec.workload.layers().len() as u64;
+        pool.submit(&spec).wait().unwrap();
+        for cache in [CacheMode::Bypass, CacheMode::Refresh] {
+            let job = spec.clone().with_options(JobOptions {
+                cache,
+                ..JobOptions::default()
+            });
+            let before = state.cache().stats();
+            let result = pool.submit(&job).wait().unwrap();
+            assert_eq!(result.cache_hits(), 0, "{cache:?}");
+            let after = state.cache().stats();
+            assert_eq!(
+                after.bypasses - before.bypasses,
+                if cache == CacheMode::Bypass {
+                    layers
+                } else {
+                    0
+                }
+            );
+            assert_eq!(
+                after.refreshes - before.refreshes,
+                if cache == CacheMode::Refresh {
+                    layers
+                } else {
+                    0
+                }
+            );
+        }
+        assert_eq!(state.stages().jobs_resident_total.get(), 0);
     }
 
     /// Submit through the completion callback, counting its calls.

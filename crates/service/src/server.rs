@@ -543,7 +543,9 @@ fn dispatch_message(
         }
         slots.acquire();
         state.stages().jobs_inflight.inc();
-        let trace = Trace::new(job.id);
+        // The request's clock starts where decoding did, so its
+        // `frame_decode` stage falls inside `request_ns`.
+        let trace = Trace::starting_at(job.id, decode_start);
         trace.add("frame_decode", decode_ns);
         let tx = tx.clone();
         let job_id = job.id;

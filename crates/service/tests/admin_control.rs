@@ -372,6 +372,51 @@ fn trace_stage_spans_cover_most_of_the_request_wall_clock() {
 }
 
 #[test]
+fn resident_jobs_trace_decode_and_lookup_inside_the_request_window() {
+    let state = ServiceState::new().unwrap();
+    let pool = Arc::new(DsePool::new(state, 2));
+    let config = ServerConfig {
+        slow_ms: Some(0), // log every request
+        ..ServerConfig::default()
+    };
+    let server = JobServer::with_config("127.0.0.1:0", Arc::clone(&pool), config).unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.run().unwrap());
+    let mut client = Client::connect(addr).unwrap();
+
+    // The first submission computes every layer; the rest are fully
+    // resident and answered without touching the pool queue.
+    for id in 1..=6 {
+        client
+            .submit(&JobSpec::network(
+                id,
+                EngineSpec::default(),
+                Network::tiny(),
+            ))
+            .unwrap();
+    }
+    let report = client.metrics().unwrap();
+    assert_eq!(report.snapshot.counter("jobs_resident_total"), Some(5));
+    let layers = Network::tiny().layers().len() as u64;
+    let lookups = report.snapshot.histogram("cache_lookup_ns").unwrap();
+    assert_eq!(lookups.count, 6 * layers, "one lookup sample per layer");
+    let waits = report.snapshot.histogram("queue_wait_ns").unwrap();
+    assert_eq!(waits.count, layers, "resident jobs are never queued");
+    for entry in report.slow.iter().filter(|e| e.trace_id > 1) {
+        let names: Vec<&str> = entry.stages.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["frame_decode", "cache_lookup"], "{entry:?}");
+        let disjoint: u64 = entry.stages.iter().map(|(_, ns)| ns).sum();
+        assert!(
+            disjoint <= entry.total_ns,
+            "disjoint spans cannot exceed the wall clock: {entry:?}"
+        );
+    }
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
 fn metrics_history_samples_reconstruct_the_cumulative_snapshot_exactly() {
     // A fast sampler so the test sees several windows in well under a
     // second of wall clock.

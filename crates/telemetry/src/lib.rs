@@ -861,9 +861,16 @@ pub struct Trace {
 impl Trace {
     /// Start a trace for request `id` (the wire job id).
     pub fn new(id: u64) -> Arc<Trace> {
+        Self::starting_at(id, Instant::now())
+    }
+
+    /// A trace for request `id` whose clock started at `start`: for a
+    /// request whose first stage (decoding it, say) ran before its id
+    /// was known, so that stage still falls inside the trace's window.
+    pub fn starting_at(id: u64, start: Instant) -> Arc<Trace> {
         Arc::new(Trace {
             id,
-            start: Instant::now(),
+            start,
             stages: Mutex::new(Vec::new()),
         })
     }
