@@ -8,17 +8,25 @@
 //! ## The evaluation pipeline
 //!
 //! The sweep is organized so per-evaluation work shrinks to what
-//! actually varies with the mapping policy:
+//! actually varies with the scheme and mapping policy:
 //!
-//! * per **tiling**: tile footprints in DRAM bursts (three data kinds),
-//! * per **(tiling, scheme)**: adaptive-scheme resolution and
-//!   tile-fetch counts — neither depends on the mapping,
+//! * per **tiling**: tile footprints in bytes and DRAM bursts, the outer
+//!   loops' trip counts, the three concrete schemes' tile traffic (and
+//!   from them adaptive-reuse's pick), and the 6 × 4 per-tile access
+//!   costs — one memo probe per data kind, each returning the costs
+//!   under every mapping,
 //! * per **(mapping, burst count)**: the closed-form transition
 //!   counting and its cost weighting, memoized because a layer has only
 //!   a handful of distinct burst counts,
-//! * per **evaluation**: four multiply-adds plus an incremental
-//!   Pareto-front insert (no label allocation; labels materialize for
-//!   survivors only).
+//! * per **evaluation**: four multiply-adds per coordinate, one
+//!   objective score compared against the incumbent's cached score,
+//!   plus an incremental Pareto-front insert (no label allocation;
+//!   labels materialize for survivors only).
+//!
+//! The single-configuration evaluator [`DseEngine::evaluate`] stays as
+//! the naive reference the tests check this pipeline against, bit for
+//! bit. [`DseEngine::best_over_tilings`] (one Fig. 9 bar) runs the same
+//! pipeline with a one-scheme, one-mapping sweep.
 //!
 //! The tiling axis is also *shardable*: [`DseEngine::explore_layer_range`]
 //! explores a contiguous subrange of the tiling enumeration and returns
@@ -28,6 +36,7 @@
 
 use core::fmt;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -42,7 +51,7 @@ use crate::edp::{EdpEstimate, EdpModel};
 use crate::error::DseError;
 use crate::mapping::MappingPolicy;
 use crate::pareto::{DesignPoint, ParetoFront};
-use crate::schedule::ReuseScheme;
+use crate::schedule::{ReuseScheme, TileTraffic};
 use crate::tiling::{count_tilings, enumerate_tilings, Tiling};
 
 /// Optimization objective for the exploration.
@@ -335,38 +344,205 @@ impl LayerPartial {
     }
 }
 
-/// Per-exploration memo of weighted access costs, keyed by mapping slot
-/// (position in the sweep's mapping list) and tile burst count. A layer
-/// has only a handful of distinct burst counts (three data kinds across
-/// the tiling enumeration), so the closed-form transition counting runs
-/// once per (mapping, burst count) instead of once per evaluation.
-struct CostMemo {
-    /// One `units -> (read cost, write cost)` map per mapping slot.
-    costs: Vec<HashMap<u64, (AccessCost, AccessCost)>>,
-}
+/// A multiplicative hasher for the memo's burst-count keys: small
+/// integers need no SipHash, only their bits spread over the word.
+#[derive(Default)]
+struct UnitsHasher(u64);
 
-impl CostMemo {
-    fn new(mappings: usize) -> Self {
-        CostMemo {
-            costs: (0..mappings).map(|_| HashMap::new()).collect(),
+impl Hasher for UnitsHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
         }
     }
 
-    fn get(
+    fn write_u64(&mut self, n: u64) {
+        let p = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = p ^ (p >> 29);
+    }
+}
+
+/// The per-tile access costs of one mapping for one tiling: reads of an
+/// ifms, a wghs and an ofms tile, and the write of an ofms tile.
+#[derive(Debug, Clone, Copy)]
+struct TileCosts {
+    ifms_read: AccessCost,
+    wghs_read: AccessCost,
+    ofms_read: AccessCost,
+    ofms_write: AccessCost,
+}
+
+/// Per-exploration memo of weighted access costs by tile burst count.
+/// A layer has only a handful of distinct burst counts (three data
+/// kinds across the tiling enumeration), so the closed-form transition
+/// counting runs once per (mapping, burst count) instead of once per
+/// evaluation, and a tiling looks its costs up in one probe per data
+/// kind.
+struct CostMemo {
+    /// Burst count -> its row in `costs`.
+    rows: HashMap<u64, usize, BuildHasherDefault<UnitsHasher>>,
+    /// One row per distinct burst count: the `(read, write)` cost of a
+    /// tile of that many bursts under each mapping of the sweep, in
+    /// sweep order.
+    costs: Vec<(AccessCost, AccessCost)>,
+}
+
+impl CostMemo {
+    fn new() -> Self {
+        CostMemo {
+            rows: HashMap::default(),
+            costs: Vec::new(),
+        }
+    }
+
+    /// Where `units`' row starts in `costs`, computing the row on first
+    /// use.
+    fn row(
         &mut self,
-        slot: usize,
-        mapping: &MappingPolicy,
+        mappings: &[MappingPolicy],
         geometry: &Geometry,
         table: &AccessCostTable,
         units: u64,
-    ) -> (AccessCost, AccessCost) {
-        *self.costs[slot].entry(units).or_insert_with(|| {
-            let counts = transition_counts(mapping, geometry, units);
-            (
-                counts_cost(&counts, table, RequestKind::Read),
-                counts_cost(&counts, table, RequestKind::Write),
-            )
+    ) -> usize {
+        let costs = &mut self.costs;
+        *self.rows.entry(units).or_insert_with(|| {
+            let row = costs.len();
+            costs.extend(mappings.iter().map(|mapping| {
+                let counts = transition_counts(mapping, geometry, units);
+                (
+                    counts_cost(&counts, table, RequestKind::Read),
+                    counts_cost(&counts, table, RequestKind::Write),
+                )
+            }));
+            row
         })
+    }
+
+    /// One tiling's costs under every mapping, in sweep order: three
+    /// probes, one per data kind's burst count.
+    fn tile_costs(
+        &mut self,
+        mappings: &[MappingPolicy],
+        geometry: &Geometry,
+        table: &AccessCostTable,
+        units: [u64; 3],
+        out: &mut Vec<TileCosts>,
+    ) {
+        let [ifms, wghs, ofms] = units.map(|u| self.row(mappings, geometry, table, u));
+        out.clear();
+        out.extend((0..mappings.len()).map(|slot| TileCosts {
+            ifms_read: self.costs[ifms + slot].0,
+            wghs_read: self.costs[wghs + slot].0,
+            ofms_read: self.costs[ofms + slot].0,
+            ofms_write: self.costs[ofms + slot].1,
+        }));
+    }
+}
+
+/// The traffic of each of `schemes` for one tiling, from the three
+/// concrete schemes' traffic (in [`ReuseScheme::CONCRETE`] order) and
+/// their tile sizes in bytes. Adaptive-reuse takes the **first**
+/// concrete traffic with the minimum bytes moved, exactly as
+/// [`TrafficModel::resolve_adaptive`](crate::schedule::TrafficModel::resolve_adaptive)'s
+/// `min_by_key` does.
+fn scheme_traffics(
+    schemes: &[ReuseScheme],
+    concrete: &[TileTraffic; 3],
+    tile_bytes: [u64; 3],
+    out: &mut Vec<TileTraffic>,
+) {
+    let adaptive = concrete
+        .iter()
+        .min_by_key(|t| t.bytes(tile_bytes))
+        .expect("three concrete schemes");
+    out.clear();
+    out.extend(schemes.iter().map(|scheme| match scheme {
+        ReuseScheme::IfmsReuse => concrete[0],
+        ReuseScheme::WghsReuse => concrete[1],
+        ReuseScheme::OfmsReuse => concrete[2],
+        ReuseScheme::AdaptiveReuse => *adaptive,
+    }));
+}
+
+/// Algorithm 1's sweep over `tilings` (a contiguous run of one layer's
+/// enumeration) under `config`, with every per-tiling invariant hoisted
+/// out of the scheme × mapping loops. The evaluation order, the
+/// term-by-term accumulation and the strict-improvement tie-break are
+/// those of the naive per-point [`EdpModel::layer_estimate`] sweep, so
+/// every estimate, Pareto front and winner is bit-identical to it.
+fn sweep(model: &EdpModel, config: &DseConfig, layer: &Layer, tilings: &[Tiling]) -> LayerPartial {
+    let traffic_model = model.traffic_model();
+    let acc = *traffic_model.accelerator();
+    let geometry = *model.geometry();
+    let table = model.table();
+    let objective = config.objective;
+    let mut memo = CostMemo::new();
+    let mut costs: Vec<TileCosts> = Vec::with_capacity(config.mappings.len());
+    let mut traffics: Vec<TileTraffic> = Vec::with_capacity(config.schemes.len());
+    let mut best: Option<(f64, DseCandidate)> = None;
+    let mut evaluations = 0usize;
+    let mut front = ParetoFront::new();
+    for tiling in tilings {
+        let tile_bytes = DataKind::ALL.map(|kind| tiling.tile_bytes(layer, &acc, kind));
+        let units = tile_bytes.map(|bytes| bytes_to_bursts(bytes, &geometry));
+        let trips = traffic_model.trip_counts(layer, tiling);
+        let concrete = ReuseScheme::CONCRETE.map(|s| trips.traffic(s));
+        scheme_traffics(&config.schemes, &concrete, tile_bytes, &mut traffics);
+        memo.tile_costs(&config.mappings, &geometry, table, units, &mut costs);
+        for (&scheme, traffic) in config.schemes.iter().zip(&traffics) {
+            for (mapping, c) in config.mappings.iter().zip(&costs) {
+                // Same accumulation order as EdpModel::layer_breakdown,
+                // term by term, so estimates stay bit-identical to the
+                // unmemoized path.
+                let estimate = EdpEstimate {
+                    cycles: c.ifms_read.cycles * traffic.ifms_loads as f64
+                        + c.wghs_read.cycles * traffic.wghs_loads as f64
+                        + c.ofms_read.cycles * traffic.ofms_loads as f64
+                        + c.ofms_write.cycles * traffic.ofms_stores as f64,
+                    energy: c.ifms_read.energy * traffic.ifms_loads as f64
+                        + c.wghs_read.energy * traffic.wghs_loads as f64
+                        + c.ofms_read.energy * traffic.ofms_loads as f64
+                        + c.ofms_write.energy * traffic.ofms_stores as f64,
+                    t_ck_ns: table.t_ck_ns,
+                };
+                evaluations += 1;
+                if config.keep_points {
+                    front.insert(
+                        estimate,
+                        CandidateTag {
+                            mapping: *mapping,
+                            scheme,
+                            tiling: *tiling,
+                        },
+                    );
+                }
+                let score = objective.score(&estimate);
+                if best
+                    .as_ref()
+                    .is_none_or(|(incumbent, _)| score < *incumbent)
+                {
+                    best = Some((
+                        score,
+                        DseCandidate {
+                            mapping: *mapping,
+                            tiling: *tiling,
+                            scheme,
+                            estimate,
+                        },
+                    ));
+                }
+            }
+        }
+    }
+    LayerPartial {
+        objective,
+        evaluations,
+        best: best.map(|(_, candidate)| candidate),
+        front,
     }
 }
 
@@ -427,8 +603,10 @@ impl DseEngine {
         self.model.layer_estimate(layer, tiling, scheme, mapping)
     }
 
-    /// Minimum-EDP estimate over all feasible tilings for a fixed
-    /// `(scheme, mapping)` — one bar of Fig. 9.
+    /// Best estimate under the engine's objective over all feasible
+    /// tilings for a fixed `(scheme, mapping)` — one bar of Fig. 9. Runs
+    /// the same hoisted sweep as [`DseEngine::explore_layer`], over a
+    /// one-scheme, one-mapping configuration.
     ///
     /// # Errors
     ///
@@ -441,23 +619,15 @@ impl DseEngine {
     ) -> Result<DseCandidate, DseError> {
         let acc = *self.model.traffic_model().accelerator();
         let tilings = enumerate_tilings(layer, &acc)?;
-        let objective = self.config.objective;
-        let mut best: Option<DseCandidate> = None;
-        for tiling in tilings {
-            let estimate = self.evaluate(layer, &tiling, scheme, mapping);
-            let better = best
-                .as_ref()
-                .is_none_or(|b| objective.score(&estimate) < objective.score(&b.estimate));
-            if better {
-                best = Some(DseCandidate {
-                    mapping: *mapping,
-                    tiling,
-                    scheme,
-                    estimate,
-                });
-            }
-        }
-        best.ok_or_else(|| DseError::new("no feasible tiling"))
+        let bar = DseConfig {
+            schemes: vec![scheme],
+            mappings: vec![*mapping],
+            keep_points: false,
+            objective: self.config.objective,
+        };
+        sweep(&self.model, &bar, layer, &tilings)
+            .best
+            .ok_or_else(|| DseError::new("no feasible tiling"))
     }
 
     /// Number of feasible tilings of `layer` under this engine's
@@ -526,79 +696,14 @@ impl DseEngine {
         if self.config.schemes.is_empty() || self.config.mappings.is_empty() {
             return Err(DseError::new("empty scheme or mapping sweep"));
         }
-        let acc = *self.model.traffic_model().accelerator();
         let start = tiling_range.start.min(tilings.len());
         let end = tiling_range.end.min(tilings.len()).max(start);
-        let objective = self.config.objective;
-        let keep_points = self.config.keep_points;
-        let geometry = *self.model.geometry();
-        let table = self.model.table();
-        let traffic_model = self.model.traffic_model();
-        let mut memo = CostMemo::new(self.config.mappings.len());
-        let mut best: Option<DseCandidate> = None;
-        let mut evaluations = 0usize;
-        let mut front = ParetoFront::new();
-        for tiling in &tilings[start..end] {
-            // Hoisted per tiling: tile footprints in DRAM bursts.
-            let units = [
-                bytes_to_bursts(tiling.tile_bytes(layer, &acc, DataKind::Ifms), &geometry),
-                bytes_to_bursts(tiling.tile_bytes(layer, &acc, DataKind::Wghs), &geometry),
-                bytes_to_bursts(tiling.tile_bytes(layer, &acc, DataKind::Ofms), &geometry),
-            ];
-            for &scheme in &self.config.schemes {
-                // Hoisted per (tiling, scheme): adaptive resolution and
-                // tile-fetch counts — neither depends on the mapping.
-                let (_, traffic) = traffic_model.resolved_traffic(layer, tiling, scheme);
-                for (slot, mapping) in self.config.mappings.iter().enumerate() {
-                    let (ifms_read, _) = memo.get(slot, mapping, &geometry, table, units[0]);
-                    let (wghs_read, _) = memo.get(slot, mapping, &geometry, table, units[1]);
-                    let (ofms_read, ofms_write) =
-                        memo.get(slot, mapping, &geometry, table, units[2]);
-                    // Same accumulation order as EdpModel::layer_breakdown,
-                    // term by term, so estimates stay bit-identical to the
-                    // unmemoized path.
-                    let estimate = EdpEstimate {
-                        cycles: ifms_read.cycles * traffic.ifms_loads as f64
-                            + wghs_read.cycles * traffic.wghs_loads as f64
-                            + ofms_read.cycles * traffic.ofms_loads as f64
-                            + ofms_write.cycles * traffic.ofms_stores as f64,
-                        energy: ifms_read.energy * traffic.ifms_loads as f64
-                            + wghs_read.energy * traffic.wghs_loads as f64
-                            + ofms_read.energy * traffic.ofms_loads as f64
-                            + ofms_write.energy * traffic.ofms_stores as f64,
-                        t_ck_ns: table.t_ck_ns,
-                    };
-                    evaluations += 1;
-                    if keep_points {
-                        front.insert(
-                            estimate,
-                            CandidateTag {
-                                mapping: *mapping,
-                                scheme,
-                                tiling: *tiling,
-                            },
-                        );
-                    }
-                    let better = best
-                        .as_ref()
-                        .is_none_or(|b| objective.score(&estimate) < objective.score(&b.estimate));
-                    if better {
-                        best = Some(DseCandidate {
-                            mapping: *mapping,
-                            tiling: *tiling,
-                            scheme,
-                            estimate,
-                        });
-                    }
-                }
-            }
-        }
-        Ok(LayerPartial {
-            objective,
-            evaluations,
-            best,
-            front,
-        })
+        Ok(sweep(
+            &self.model,
+            &self.config,
+            layer,
+            &tilings[start..end],
+        ))
     }
 
     /// Algorithm 1 for a whole network: layers are claimed from a shared
@@ -1027,6 +1132,79 @@ mod tests {
             e.tiling_count(&layer).unwrap(),
             enumerate_tilings(&layer, &acc).unwrap().len()
         );
+    }
+
+    #[test]
+    fn adaptive_reuse_takes_the_first_concrete_traffic_of_least_bytes() {
+        let traffic = |ifms_loads, ofms_stores| TileTraffic {
+            ifms_loads,
+            wghs_loads: 1,
+            ofms_loads: 0,
+            ofms_stores,
+        };
+        // At 2 bytes per ifms tile and 1 per wghs/ofms tile these move
+        // 18, 11 and 11 bytes: wghs-reuse and ofms-reuse tie, and the
+        // first of them wins.
+        let concrete = [traffic(4, 9), traffic(3, 4), traffic(1, 8)];
+        assert_eq!(concrete.map(|t| t.bytes([2, 1, 1])), [18, 11, 11]);
+        let mut out = Vec::new();
+        scheme_traffics(&ReuseScheme::ALL, &concrete, [2, 1, 1], &mut out);
+        assert_eq!(
+            out,
+            vec![concrete[0], concrete[1], concrete[2], concrete[1]]
+        );
+        scheme_traffics(
+            &[ReuseScheme::AdaptiveReuse],
+            &concrete,
+            [1, 1, 4],
+            &mut out,
+        );
+        assert_eq!(out, vec![concrete[1]]);
+    }
+
+    #[test]
+    fn best_over_tilings_matches_the_naive_bar_bit_exactly() {
+        for objective in Objective::ALL {
+            let e = engine(DseConfig {
+                objective,
+                ..DseConfig::default()
+            });
+            let layer = conv3();
+            let acc = *e.model().traffic_model().accelerator();
+            for scheme in ReuseScheme::ALL {
+                for mapping in MappingPolicy::table_i() {
+                    let mut naive: Option<DseCandidate> = None;
+                    for tiling in enumerate_tilings(&layer, &acc).unwrap() {
+                        let estimate = e.evaluate(&layer, &tiling, scheme, &mapping);
+                        let better = naive.as_ref().is_none_or(|b| {
+                            objective.score(&estimate) < objective.score(&b.estimate)
+                        });
+                        if better {
+                            naive = Some(DseCandidate {
+                                mapping,
+                                tiling,
+                                scheme,
+                                estimate,
+                            });
+                        }
+                    }
+                    let naive = naive.unwrap();
+                    let bar = e.best_over_tilings(&layer, scheme, &mapping).unwrap();
+                    assert_eq!(
+                        (bar.tiling, bar.scheme, bar.mapping),
+                        (naive.tiling, scheme, mapping)
+                    );
+                    assert_eq!(
+                        bar.estimate.cycles.to_bits(),
+                        naive.estimate.cycles.to_bits()
+                    );
+                    assert_eq!(
+                        bar.estimate.energy.to_bits(),
+                        naive.estimate.energy.to_bits()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

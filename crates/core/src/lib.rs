@@ -72,7 +72,7 @@ pub mod prelude {
     pub use crate::mapping::MappingPolicy;
     pub use crate::pareto::{pareto_front, DesignPoint, ParetoFront};
     pub use crate::report::{LayerReport, NetworkReport};
-    pub use crate::schedule::{OuterLoop, ReuseScheme, TileTraffic, TrafficModel};
+    pub use crate::schedule::{OuterLoop, ReuseScheme, TileTraffic, TrafficModel, TripCounts};
     pub use crate::tiling::{candidate_steps, count_tilings, enumerate_tilings, Tiling};
     pub use crate::validate::{ValidationReport, Validator};
 }

@@ -156,6 +156,93 @@ impl TileTraffic {
     pub fn total_tiles(&self) -> u64 {
         self.ifms_loads + self.wghs_loads + self.ofms_loads + self.ofms_stores
     }
+
+    /// Bytes moved, given one tile's size in bytes per data kind
+    /// (ifms, wghs, ofms).
+    pub fn bytes(&self, tile_bytes: [u64; 3]) -> u64 {
+        self.ifms_loads * tile_bytes[0]
+            + self.wghs_loads * tile_bytes[1]
+            + (self.ofms_loads + self.ofms_stores) * tile_bytes[2]
+    }
+}
+
+/// Trip counts of Fig. 3's five outer loops for one `(layer, tiling)`
+/// (see [`TrafficModel::trip_counts`]). Every [`TileTraffic`] of the
+/// tiling is a product of these, so they are computed once per tiling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TripCounts {
+    b: u64,
+    h: u64,
+    w: u64,
+    j: u64,
+    i: u64,
+}
+
+impl TripCounts {
+    /// Trip count of one outer loop.
+    fn of(&self, l: OuterLoop) -> u64 {
+        match l {
+            OuterLoop::B => self.b,
+            OuterLoop::H => self.h,
+            OuterLoop::W => self.w,
+            OuterLoop::J => self.j,
+            OuterLoop::I => self.i,
+        }
+    }
+
+    /// Number of distinct tiles of `kind` (product of dependent trips).
+    fn distinct_tiles(&self, kind: DataKind) -> u64 {
+        [
+            OuterLoop::B,
+            OuterLoop::H,
+            OuterLoop::W,
+            OuterLoop::J,
+            OuterLoop::I,
+        ]
+        .iter()
+        .filter(|&&l| l.feeds(kind))
+        .map(|&l| self.of(l))
+        .product()
+    }
+
+    /// Re-fetch factor of `kind` under a concrete scheme (see
+    /// [`TrafficModel::refetch_factor`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scheme` is [`ReuseScheme::AdaptiveReuse`].
+    fn refetch_factor(&self, scheme: ReuseScheme, kind: DataKind) -> u64 {
+        let order = scheme.loop_order();
+        let innermost_dep = order
+            .iter()
+            .rposition(|&l| l.feeds(kind))
+            .expect("every data kind depends on at least one loop");
+        order[..innermost_dep]
+            .iter()
+            .filter(|&&l| !l.feeds(kind))
+            .map(|&l| self.of(l))
+            .product()
+    }
+
+    /// Tile traffic for one concrete scheme (see [`TrafficModel::traffic`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scheme` is [`ReuseScheme::AdaptiveReuse`].
+    pub fn traffic(&self, scheme: ReuseScheme) -> TileTraffic {
+        let ifms =
+            self.distinct_tiles(DataKind::Ifms) * self.refetch_factor(scheme, DataKind::Ifms);
+        let wghs =
+            self.distinct_tiles(DataKind::Wghs) * self.refetch_factor(scheme, DataKind::Wghs);
+        let ofms_distinct = self.distinct_tiles(DataKind::Ofms);
+        let passes = self.refetch_factor(scheme, DataKind::Ofms);
+        TileTraffic {
+            ifms_loads: ifms,
+            wghs_loads: wghs,
+            ofms_loads: ofms_distinct * (passes - 1),
+            ofms_stores: ofms_distinct * passes,
+        }
+    }
 }
 
 /// Computes DRAM tile traffic for layers under a scheduling scheme.
@@ -190,30 +277,23 @@ impl TrafficModel {
         &self.acc
     }
 
-    fn trip_count(&self, layer: &Layer, tiling: &Tiling, l: OuterLoop) -> u64 {
+    /// Trip counts of the five outer loops for one `(layer, tiling)`:
+    /// the per-tiling quantity every traffic figure is a product of, so
+    /// a caller needing several schemes' traffic computes it once.
+    pub fn trip_counts(&self, layer: &Layer, tiling: &Tiling) -> TripCounts {
         let (n_h, n_w, n_j, n_i) = tiling.steps(layer);
-        match l {
-            OuterLoop::B => self.acc.batch as u64,
-            OuterLoop::H => n_h as u64,
-            OuterLoop::W => n_w as u64,
-            OuterLoop::J => n_j as u64,
-            OuterLoop::I => n_i as u64,
+        TripCounts {
+            b: self.acc.batch as u64,
+            h: n_h as u64,
+            w: n_w as u64,
+            j: n_j as u64,
+            i: n_i as u64,
         }
     }
 
     /// Number of distinct tiles of `kind` (product of dependent trips).
     pub fn distinct_tiles(&self, layer: &Layer, tiling: &Tiling, kind: DataKind) -> u64 {
-        [
-            OuterLoop::B,
-            OuterLoop::H,
-            OuterLoop::W,
-            OuterLoop::J,
-            OuterLoop::I,
-        ]
-        .iter()
-        .filter(|&&l| l.feeds(kind))
-        .map(|&l| self.trip_count(layer, tiling, l))
-        .product()
+        self.trip_counts(layer, tiling).distinct_tiles(kind)
     }
 
     /// Re-fetch factor of `kind` under a concrete scheme: the product of
@@ -226,16 +306,7 @@ impl TrafficModel {
         scheme: ReuseScheme,
         kind: DataKind,
     ) -> u64 {
-        let order = scheme.loop_order();
-        let innermost_dep = order
-            .iter()
-            .rposition(|&l| l.feeds(kind))
-            .expect("every data kind depends on at least one loop");
-        order[..innermost_dep]
-            .iter()
-            .filter(|&&l| !l.feeds(kind))
-            .map(|&l| self.trip_count(layer, tiling, l))
-            .product()
+        self.trip_counts(layer, tiling).refetch_factor(scheme, kind)
     }
 
     /// Tile traffic for one concrete scheme.
@@ -245,42 +316,13 @@ impl TrafficModel {
     /// Panics if `scheme` is [`ReuseScheme::AdaptiveReuse`]; resolve it
     /// first with [`TrafficModel::resolve_adaptive`].
     pub fn traffic(&self, layer: &Layer, tiling: &Tiling, scheme: ReuseScheme) -> TileTraffic {
-        let ifms = self.distinct_tiles(layer, tiling, DataKind::Ifms)
-            * self.refetch_factor(layer, tiling, scheme, DataKind::Ifms);
-        let wghs = self.distinct_tiles(layer, tiling, DataKind::Wghs)
-            * self.refetch_factor(layer, tiling, scheme, DataKind::Wghs);
-        let ofms_distinct = self.distinct_tiles(layer, tiling, DataKind::Ofms);
-        let passes = self.refetch_factor(layer, tiling, scheme, DataKind::Ofms);
-        TileTraffic {
-            ifms_loads: ifms,
-            wghs_loads: wghs,
-            ofms_loads: ofms_distinct * (passes - 1),
-            ofms_stores: ofms_distinct * passes,
-        }
+        self.trip_counts(layer, tiling).traffic(scheme)
     }
 
     /// Total bytes moved for one concrete scheme.
     pub fn traffic_bytes(&self, layer: &Layer, tiling: &Tiling, scheme: ReuseScheme) -> u64 {
-        let t = self.traffic(layer, tiling, scheme);
-        t.ifms_loads * tiling.tile_bytes(layer, &self.acc, DataKind::Ifms)
-            + t.wghs_loads * tiling.tile_bytes(layer, &self.acc, DataKind::Wghs)
-            + (t.ofms_loads + t.ofms_stores) * tiling.tile_bytes(layer, &self.acc, DataKind::Ofms)
-    }
-
-    /// Resolve `scheme` for one `(layer, tiling)` and return the traffic
-    /// of the resolved scheme — the per-`(tiling, scheme)` quantity the
-    /// DSE hot loop hoists out of its mapping sweep (the traffic does
-    /// not depend on the mapping policy). Exactly equivalent to
-    /// [`TrafficModel::resolve_adaptive`] followed by
-    /// [`TrafficModel::traffic`].
-    pub fn resolved_traffic(
-        &self,
-        layer: &Layer,
-        tiling: &Tiling,
-        scheme: ReuseScheme,
-    ) -> (ReuseScheme, TileTraffic) {
-        let resolved = self.resolve_adaptive(layer, tiling, scheme);
-        (resolved, self.traffic(layer, tiling, resolved))
+        self.traffic(layer, tiling, scheme)
+            .bytes(DataKind::ALL.map(|kind| tiling.tile_bytes(layer, &self.acc, kind)))
     }
 
     /// Resolve adaptive-reuse for one layer: the concrete scheme with the
@@ -439,15 +481,19 @@ mod tests {
     }
 
     #[test]
-    fn resolved_traffic_matches_two_step_path() {
-        let m = model();
+    fn trip_counts_follow_the_tiling_steps_and_batch() {
+        let mut acc = AcceleratorConfig::table_ii();
+        acc.batch = 3;
+        let m = TrafficModel::new(acc);
         let l = conv3();
-        let t = Tiling::new(13, 13, 16, 16);
-        for scheme in ReuseScheme::ALL {
-            let (resolved, traffic) = m.resolved_traffic(&l, &t, scheme);
-            assert_eq!(resolved, m.resolve_adaptive(&l, &t, scheme));
-            assert_eq!(traffic, m.traffic(&l, &t, resolved));
-        }
+        let t = Tiling::new(7, 4, 16, 32);
+        let (n_h, n_w, n_j, n_i) = t.steps(&l);
+        let trips = m.trip_counts(&l, &t);
+        assert_eq!(trips.of(OuterLoop::B), 3);
+        assert_eq!(trips.of(OuterLoop::H), n_h as u64);
+        assert_eq!(trips.of(OuterLoop::W), n_w as u64);
+        assert_eq!(trips.of(OuterLoop::J), n_j as u64);
+        assert_eq!(trips.of(OuterLoop::I), n_i as u64);
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //! Speaks the typed, versioned protocol (plus the legacy shim) over
 //! pipelined TCP — newline-delimited text or binary frames; see
 //! `docs/PROTOCOL.md`. The cache flags bound the layer memo cache;
-//! without them the cache is unbounded. `--cache-policy cost` evicts
+//! without `--cache-entries` it holds at most 1024 resident entries
+//! (`DEFAULT_CACHE_ENTRIES`), so a stream of never-repeating layers
+//! cannot grow the process without bound (the `set-bounds` admin verb
+//! can still lift the bound at runtime). `--cache-policy cost` evicts
 //! the cheapest-to-recompute entry first (using each entry's recorded
 //! exploration duration) instead of the least recently used — and can
 //! be swapped at runtime with the `set-policy` admin verb.
@@ -66,6 +69,10 @@ use drmap_service::pool::{DsePool, ShardPolicy};
 use drmap_service::server::{JobServer, ServerConfig};
 use drmap_store::store::Store;
 
+/// Resident-cache entry bound when `--cache-entries` is not given.
+/// Evicted results stay in the store tier when one is attached.
+const DEFAULT_CACHE_ENTRIES: usize = 1024;
+
 struct Args {
     addr: String,
     workers: usize,
@@ -84,7 +91,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:7878".to_owned(),
         workers: default_workers(),
-        cache: CacheConfig::unbounded(),
+        cache: CacheConfig::unbounded().with_max_entries(DEFAULT_CACHE_ENTRIES),
         shard: ShardPolicy::default(),
         store: None,
         warm: None,

@@ -443,6 +443,7 @@ impl ServiceState {
         };
         let mut traces: Vec<(u64, u64, SlowEntry)> = store
             .keys_with_prefix(SLOW_TRACE_KEY_PREFIX)
+            .unwrap_or_default()
             .into_iter()
             .filter_map(|key| store.get(&key).ok().flatten())
             .filter_map(|bytes| SlowEntry::decode_record(&bytes))
@@ -715,6 +716,7 @@ pub fn job_route_key(spec: &JobSpec) -> String {
 fn next_slow_seq(store: &drmap_store::store::Store) -> u64 {
     store
         .keys_with_prefix(SLOW_TRACE_KEY_PREFIX)
+        .unwrap_or_default()
         .into_iter()
         .filter_map(|key| store.get(&key).ok().flatten())
         .filter_map(|bytes| SlowEntry::decode_record(&bytes))

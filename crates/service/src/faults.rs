@@ -342,6 +342,25 @@ impl FaultState {
 mod tests {
     use super::*;
 
+    /// A fresh state with `spec` armed. Builds without fault injection
+    /// must refuse the plan with the typed error instead, and leave the
+    /// state disarmed; then `None`.
+    fn armed(spec: &str) -> Option<FaultState> {
+        let state = FaultState::default();
+        let result = state.set_plan(Some(FaultPlan::parse(spec).unwrap()));
+        if FAULTS_COMPILED_IN {
+            assert_eq!(result.unwrap(), None);
+            return Some(state);
+        }
+        let err = result.unwrap_err();
+        assert!(matches!(err, ServiceError::Protocol(_)), "{err:?}");
+        assert!(err.to_string().contains("not compiled into this build"));
+        assert_eq!(state.plan(), None, "a refused plan is not armed");
+        assert!(state.store_action().is_none());
+        assert!(state.wire_action().is_none());
+        None
+    }
+
     #[test]
     fn specs_parse_and_render_round_trip() {
         let plan = FaultPlan::parse(
@@ -372,9 +391,11 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic_per_seed_and_site() {
-        let state = FaultState::default();
-        let plan = FaultPlan::parse("seed=7,store-fail=0.3,wire-stall=0.3").unwrap();
-        state.set_plan(Some(plan)).unwrap();
+        let spec = "seed=7,store-fail=0.3,wire-stall=0.3";
+        let Some(state) = armed(spec) else {
+            return;
+        };
+        let plan = FaultPlan::parse(spec).unwrap();
         let first: Vec<_> = (0..64).map(|_| state.store_action()).collect();
         let wire_first: Vec<_> = (0..64).map(|_| state.wire_action()).collect();
         // Re-arming resets the ordinals: the sequence replays exactly.
@@ -393,10 +414,9 @@ mod tests {
 
     #[test]
     fn injection_rate_tracks_the_configured_probability() {
-        let state = FaultState::default();
-        state
-            .set_plan(Some(FaultPlan::parse("seed=11,store-fail=0.1").unwrap()))
-            .unwrap();
+        let Some(state) = armed("seed=11,store-fail=0.1") else {
+            return;
+        };
         let fired = (0..2000).filter(|_| state.store_action().is_some()).count();
         assert!(
             (100..=320).contains(&fired),
@@ -406,10 +426,9 @@ mod tests {
 
     #[test]
     fn worker_panic_fires_exactly_once_at_its_ordinal() {
-        let state = FaultState::default();
-        state
-            .set_plan(Some(FaultPlan::parse("seed=1,panic-job=2").unwrap()))
-            .unwrap();
+        let Some(state) = armed("seed=1,panic-job=2") else {
+            return;
+        };
         assert!(!state.job_panics(1));
         assert!(state.job_panics(2), "fires at the chosen ordinal");
         assert!(!state.job_panics(2), "but only once");
@@ -422,8 +441,13 @@ mod tests {
         assert_eq!(state.plan(), None);
         assert!(state.store_action().is_none());
         assert!(state.wire_action().is_none());
-        let plan = FaultPlan::parse("seed=5,store-fail=1").unwrap();
-        state.set_plan(Some(plan)).unwrap();
+        // Disarming works in every build, armed or not.
+        assert_eq!(state.set_plan(None).unwrap(), None);
+        let spec = "seed=5,store-fail=1";
+        let Some(state) = armed(spec) else {
+            return;
+        };
+        let plan = FaultPlan::parse(spec).unwrap();
         assert_eq!(state.store_action(), Some(FaultAction::Fail));
         assert_eq!(state.set_plan(None).unwrap(), Some(plan));
         assert_eq!(state.plan(), None);

@@ -1101,12 +1101,10 @@ mod tests {
         let pool = DsePool::new(Arc::clone(&state), 1);
         // Occupy the single worker so the deadlined job waits in queue
         // past its (tiny) budget; the dequeue check then answers it
-        // without computing anything.
-        let blocker = JobSpec::layer(
-            1,
-            EngineSpec::default(),
-            drmap_cnn::layer::Layer::conv("BIG", 13, 13, 64, 32, 3, 3, 1),
-        );
+        // without computing anything. The blocker is a whole VGG-16
+        // (16 layer tasks ahead of the deadlined job's), so even a
+        // release build's sweep keeps the queue busy far past 1 ms.
+        let blocker = JobSpec::network(1, EngineSpec::default(), Network::vgg16());
         let deadlined = JobSpec::network(2, EngineSpec::default(), Network::tiny()).with_options(
             crate::spec::JobOptions {
                 deadline_ms: Some(1),
@@ -1381,11 +1379,9 @@ mod tests {
     fn completion_fires_once_when_a_deadline_lapses_in_the_queue() {
         let state = ServiceState::new().unwrap();
         let pool = DsePool::new(Arc::clone(&state), 1);
-        let blocker = JobSpec::layer(
-            1,
-            EngineSpec::default(),
-            drmap_cnn::layer::Layer::conv("BIG", 13, 13, 64, 32, 3, 3, 1),
-        );
+        // As in `queued_jobs_past_their_deadline_answer_typed_errors`: a
+        // whole VGG-16 keeps the single worker busy far past 1 ms.
+        let blocker = JobSpec::network(1, EngineSpec::default(), Network::vgg16());
         let blocking = pool.submit(&blocker);
         let deadlined = JobSpec::network(2, EngineSpec::default(), Network::tiny()).with_options(
             crate::spec::JobOptions {

@@ -2453,9 +2453,12 @@ mod tests {
             .render(),
             r#"{"ok":false,"error":"deadline exceeded after 40 ms"}"#
         );
-        // This build runs tests with debug assertions, so fault
-        // injection is compiled in and advertised.
-        assert!(capabilities(false).contains(&"faults".to_owned()));
+        // Fault injection is advertised exactly when it is compiled in
+        // (debug builds or the `faults` feature).
+        assert_eq!(
+            capabilities(false).contains(&"faults".to_owned()),
+            crate::faults::FAULTS_COMPILED_IN
+        );
         assert!(capabilities(false).contains(&"overload-control".to_owned()));
         assert!(capabilities(false).contains(&"deadlines".to_owned()));
     }

@@ -278,7 +278,9 @@ fn expired_deadline_answers_typed_over_the_wire() {
     // Block the lone worker with a full AlexNet sweep on its own
     // connection.
     let mut blocker = Client::connect(addr).unwrap();
-    let slow = JobSpec::network(1, EngineSpec::default(), Network::alexnet());
+    // A whole VGG-16: long enough to hold the queue past 1 ms even in
+    // a release build.
+    let slow = JobSpec::network(1, EngineSpec::default(), Network::vgg16());
     let blocker_thread = thread::spawn(move || blocker.submit(&slow));
 
     // Wait until the server reports the blocker in flight, so the

@@ -109,7 +109,7 @@ fn cmd_ls(file: &str) -> Result<bool, String> {
     // on a closed pipe instead of panicking.
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    for (key, len) in store.entries() {
+    for (key, len) in store.entries().map_err(|e| e.to_string())? {
         if writeln!(out, "{len:>10}  {key}").is_err() {
             break;
         }
@@ -146,7 +146,10 @@ fn cmd_slow(file: &str, limit: Option<usize>) -> Result<bool, String> {
     let store = Store::open_read_only(file).map_err(|e| e.to_string())?;
     let mut traces: Vec<(u64, u64, SlowEntry)> = Vec::new();
     let mut undecodable = 0usize;
-    for key in store.keys_with_prefix(SLOW_TRACE_KEY_PREFIX) {
+    for key in store
+        .keys_with_prefix(SLOW_TRACE_KEY_PREFIX)
+        .map_err(|e| e.to_string())?
+    {
         let Some(value) = store.get(&key).map_err(|e| e.to_string())? else {
             continue;
         };

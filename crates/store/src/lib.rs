@@ -13,7 +13,7 @@
 //! * [`record`] — the on-disk format: a fixed header plus
 //!   length-prefixed, CRC-32-checksummed `(key, value)` records;
 //! * [`store`] — the [`Store`](store::Store): write-ahead log +
-//!   in-memory index with crash recovery (truncate at the first torn or
+//!   in-memory key-digest index with crash recovery (truncate at the first torn or
 //!   corrupt record), concurrent positioned reads, explicit
 //!   [`compact()`](store::Store::compact) with an atomic swap, and
 //!   counters for operating it;

@@ -4,9 +4,26 @@
 //! record per key (append-only updates supersede, never overwrite) and
 //! truncating at the first torn or corrupt record — the crash-recovery
 //! contract of the record format. After open, the index maps every live
-//! key to its value's file offset; [`Store::get`] reads exactly the
+//! key to its record's place in the file; [`Store::get`] reads the
 //! value bytes back (re-verifying their checksum against bit rot) and
 //! [`Store::put`] appends a new record and repoints the index.
+//!
+//! ## The digest index
+//!
+//! The index holds no key bytes for data keys. It maps a 64-bit digest
+//! of each key to a 24-byte entry (value offset, key and value lengths,
+//! value checksum): one 32-byte hash-map bucket plus a control byte per
+//! live record, and the map's spare capacity, however long the key is.
+//! The string-keyed index it replaced also held each key (~270 bytes
+//! for the service's layer keys) in its own allocation. Because a record's key bytes sit right before its
+//! value in the file, [`Store::get`] reads key and value in one
+//! positioned read and compares the key before answering, and a `put`
+//! whose digest is already indexed reads the indexed key back to tell
+//! an overwrite from a digest collision. Reserved keys (see
+//! [`RESERVED_KEY_PREFIX`]) and any data key whose digest another live
+//! key already holds go into a small full-key map instead. Recency is
+//! file order: appends only ever grow the offset, and compaction keeps
+//! the live records in their order.
 //!
 //! Concurrency: the store is `Send + Sync`. Reads share one `RwLock`
 //! read guard and use positioned reads, so any number of threads can
@@ -20,8 +37,10 @@
 //! [`Store::sync`] forces the log to stable storage; `compact` always
 //! syncs before atomically swapping the rewritten log into place.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{BufReader, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,26 +69,201 @@ pub const RESERVED_KEY_PREFIX: &str = "~";
 /// ([`drmap_telemetry::SlowEntry::encode_record`]).
 pub const SLOW_TRACE_KEY_PREFIX: &str = "~slow/";
 
-/// Where a live key's value lives in the log.
+/// Where a live key's record lives in the log. The key bytes sit right
+/// before the value payload, so the entry locates both.
 #[derive(Debug, Clone, Copy)]
 struct IndexEntry {
-    /// Offset of the value payload (not the record header).
+    /// Offset of the value payload (not the record header). Orders
+    /// entries by recency: later writes sit further into the file.
     value_offset: u64,
+    /// Key length; the key starts at `value_offset - key_len`.
+    key_len: u32,
     /// Value payload length.
     value_len: u32,
     /// CRC-32 of the value payload alone, re-checked on every `get`.
     value_crc: u32,
-    /// Append sequence, for recency ordering across restarts.
-    seq: u64,
+}
+
+impl IndexEntry {
+    /// The entry of a record whose header starts at `offset`.
+    fn at(offset: u64, key: &str, value: &[u8]) -> Self {
+        IndexEntry {
+            value_offset: offset + 12 + key.len() as u64,
+            key_len: key.len() as u32,
+            value_len: value.len() as u32,
+            value_crc: crate::record::crc32(&[value]),
+        }
+    }
+
+    /// Offset of the record's key bytes.
+    fn key_offset(&self) -> u64 {
+        self.value_offset - u64::from(self.key_len)
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test seam: ANDed into every digest computed on this thread, so a
+    /// test can force digest collisions (a mask of 0 makes every key
+    /// collide).
+    static DIGEST_MASK: std::cell::Cell<u64> = const { std::cell::Cell::new(u64::MAX) };
+}
+
+/// 64-bit digest of a key, eight bytes per step: each word is xored
+/// into the state, which is then multiplied by an odd constant and
+/// rotated (a bijection, so equal-length keys that differ in a single
+/// word never collide), and the MurmurHash3 finalizer spreads every key
+/// bit over the digest.
+fn key_digest(key: &str) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let bytes = key.as_bytes();
+    let mut h = (bytes.len() as u64).wrapping_mul(K);
+    for chunk in bytes.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        h = (h ^ u64::from_le_bytes(word))
+            .wrapping_mul(K)
+            .rotate_left(31);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^= h >> 33;
+    #[cfg(test)]
+    {
+        h &= DIGEST_MASK.with(std::cell::Cell::get);
+    }
+    h
+}
+
+/// Hashes an already-mixed digest by passing it through.
+#[derive(Default)]
+struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+fn is_reserved(key: &str) -> bool {
+    key.starts_with(RESERVED_KEY_PREFIX)
+}
+
+/// The digest the index files `key` under: `None` for reserved keys,
+/// which it files by name. Computed once per store operation.
+fn index_digest(key: &str) -> Option<u64> {
+    (!is_reserved(key)).then(|| key_digest(key))
+}
+
+/// The live-key index (see the module docs).
+#[derive(Debug, Default)]
+struct Index {
+    /// Data keys by digest; the key bytes stay on disk.
+    by_digest: HashMap<u64, IndexEntry, BuildHasherDefault<DigestHasher>>,
+    /// Reserved keys, and data keys whose digest another live key
+    /// holds in `by_digest`, by full key.
+    full: HashMap<String, IndexEntry>,
+}
+
+impl Index {
+    fn len(&self) -> usize {
+        self.by_digest.len() + self.full.len()
+    }
+
+    /// The entry indexed under `digest` (see [`index_digest`]), which
+    /// may be another key's.
+    fn digest_holder(&self, digest: Option<u64>) -> Option<IndexEntry> {
+        digest.and_then(|d| self.by_digest.get(&d).copied())
+    }
+
+    /// Point `key` (with its [`index_digest`]) at `entry`; returns the
+    /// entry it supersedes. `holds_key` says whether the digest's holder
+    /// is `key`'s own record (an overwrite) or another key's (a
+    /// collision); it is ignored when the digest is free.
+    fn insert(
+        &mut self,
+        key: &str,
+        digest: Option<u64>,
+        entry: IndexEntry,
+        holds_key: bool,
+    ) -> Option<IndexEntry> {
+        let Some(digest) = digest else {
+            return self.full.insert(key.to_owned(), entry);
+        };
+        // Invariant: a data key sits in `full` only while another key
+        // holds its digest, so a free digest means a new key.
+        match self.by_digest.entry(digest) {
+            Entry::Vacant(slot) => {
+                slot.insert(entry);
+                None
+            }
+            Entry::Occupied(mut slot) if holds_key => Some(slot.insert(entry)),
+            Entry::Occupied(_) => self.full.insert(key.to_owned(), entry),
+        }
+    }
+
+    /// Does the holder of `key`'s digest (if any) index `key`'s own
+    /// record? Reads the holder's key bytes back from the log.
+    fn holds_key(
+        &self,
+        file: &File,
+        path: &Path,
+        key: &str,
+        digest: Option<u64>,
+    ) -> std::io::Result<bool> {
+        let Some(held) = self.digest_holder(digest) else {
+            return Ok(false);
+        };
+        if held.key_len as usize != key.len() {
+            return Ok(false);
+        }
+        let mut stored = vec![0u8; key.len()];
+        read_exact_at(file, path, &mut stored, held.key_offset())?;
+        Ok(stored == key.as_bytes())
+    }
+
+    /// Every live entry, with its digest for the digest-indexed ones and
+    /// its key for the full-key ones.
+    fn live(&self) -> impl Iterator<Item = (KeyRef<'_>, IndexEntry)> {
+        let by_digest = self.by_digest.iter().map(|(&d, &e)| (KeyRef::Digest(d), e));
+        let full = self.full.iter().map(|(k, &e)| (KeyRef::Full(k), e));
+        by_digest.chain(full)
+    }
+}
+
+/// How an index entry knows its key.
+#[derive(Debug, Clone, Copy)]
+enum KeyRef<'a> {
+    /// Only the key's digest is in memory.
+    Digest(u64),
+    /// The key itself.
+    Full(&'a str),
+}
+
+impl KeyRef<'_> {
+    fn is_reserved(self) -> bool {
+        matches!(self, KeyRef::Full(k) if is_reserved(k))
+    }
 }
 
 /// Everything the store's one `RwLock` guards.
 #[derive(Debug)]
 struct State {
     file: File,
-    index: HashMap<String, IndexEntry>,
+    index: Index,
     end_offset: u64,
-    next_seq: u64,
     records: u64,
     dead_records: u64,
     dead_bytes: u64,
@@ -229,6 +423,55 @@ fn read_exact_at(_file: &File, path: &Path, buf: &mut [u8], offset: u64) -> std:
     file.read_exact(buf)
 }
 
+/// Read the record `entry` locates back as `(key, value)`: one
+/// positioned read covering both. Checks the value's checksum and that
+/// the key still matches how the index knows it (bit rot since open
+/// shows up here); `Ok(None)` when either fails.
+fn read_live_record(
+    file: &File,
+    path: &Path,
+    key: KeyRef<'_>,
+    entry: &IndexEntry,
+) -> std::io::Result<Option<(String, Vec<u8>)>> {
+    let key_len = entry.key_len as usize;
+    let mut bytes = vec![0u8; key_len + entry.value_len as usize];
+    read_exact_at(file, path, &mut bytes, entry.key_offset())?;
+    if crate::record::crc32(&[&bytes[key_len..]]) != entry.value_crc {
+        return Ok(None);
+    }
+    let value = bytes.split_off(key_len);
+    let Ok(stored) = String::from_utf8(bytes) else {
+        return Ok(None);
+    };
+    let intact = match key {
+        KeyRef::Digest(digest) => !is_reserved(&stored) && key_digest(&stored) == digest,
+        KeyRef::Full(k) => stored == k,
+    };
+    Ok(intact.then_some((stored, value)))
+}
+
+/// Read a live entry's key back from the log (see [`read_live_record`]
+/// for the checks), as a typed error when it fails them.
+fn read_live_key(
+    file: &File,
+    path: &Path,
+    key: KeyRef<'_>,
+    entry: &IndexEntry,
+) -> Result<String, StoreError> {
+    if let KeyRef::Full(k) = key {
+        return Ok(k.to_owned());
+    }
+    let mut stored = vec![0u8; entry.key_len as usize];
+    read_exact_at(file, path, &mut stored, entry.key_offset())?;
+    match (String::from_utf8(stored), key) {
+        (Ok(stored), KeyRef::Digest(digest)) if key_digest(&stored) == digest => Ok(stored),
+        _ => Err(StoreError::corrupt(format!(
+            "the key bytes at offset {} no longer match the index",
+            entry.key_offset()
+        ))),
+    }
+}
+
 impl Store {
     /// Open (or create) the log at `path`, replaying it into an
     /// in-memory index. A torn or corrupt tail is truncated away —
@@ -279,13 +522,12 @@ impl Store {
         }
 
         // Replay: last record per key wins; earlier ones are dead.
-        let mut index: HashMap<String, IndexEntry> = HashMap::new();
+        let mut index = Index::default();
         let mut offset = HEADER_LEN;
         let mut records = 0u64;
         let mut dead_records = 0u64;
         let mut dead_bytes = 0u64;
         let mut live_value_bytes = 0u64;
-        let mut seq = 0u64;
         if file_len > HEADER_LEN {
             let mut scan = file.try_clone()?;
             scan.seek(SeekFrom::Start(HEADER_LEN))?;
@@ -294,16 +536,12 @@ impl Store {
                 match read_record(&mut reader)? {
                     RecordRead::Record { key, value } => {
                         let footprint = record_len(key.len(), value.len());
-                        let entry = IndexEntry {
-                            value_offset: offset + 12 + key.len() as u64,
-                            value_len: value.len() as u32,
-                            value_crc: crate::record::crc32(&[&value]),
-                            seq,
-                        };
-                        seq += 1;
+                        let entry = IndexEntry::at(offset, &key, &value);
                         records += 1;
                         live_value_bytes += value.len() as u64;
-                        if let Some(old) = index.insert(key.clone(), entry) {
+                        let digest = index_digest(&key);
+                        let holds_key = index.holds_key(&file, &path, &key, digest)?;
+                        if let Some(old) = index.insert(&key, digest, entry, holds_key) {
                             dead_records += 1;
                             dead_bytes += record_len(key.len(), old.value_len as usize);
                             live_value_bytes -= u64::from(old.value_len);
@@ -336,7 +574,6 @@ impl Store {
                 file,
                 index,
                 end_offset: offset,
-                next_seq: seq,
                 records,
                 dead_records,
                 dead_bytes,
@@ -408,11 +645,6 @@ impl Store {
         self.len() == 0
     }
 
-    /// True when `key` is live.
-    pub fn contains(&self, key: &str) -> bool {
-        read_locked(&self.state).index.contains_key(key)
-    }
-
     /// Fetch the value last stored under `key`. Concurrent callers
     /// proceed in parallel (shared read lock, positioned reads).
     ///
@@ -435,12 +667,34 @@ impl Store {
         // only; no reader infers anything about the log from them.
         self.gets.fetch_add(1, Ordering::Relaxed);
         let state = read_locked(&self.state);
-        let Some(entry) = state.index.get(key).copied() else {
+        // A digest hit reads key and value in one positioned read and
+        // answers only if the stored key is this one.
+        let holder = state.index.digest_holder(index_digest(key));
+        if let Some(entry) = holder.filter(|e| e.key_len as usize == key.len()) {
+            let mut bytes = vec![0u8; key.len() + entry.value_len as usize];
+            read_exact_at(&state.file, &self.path, &mut bytes, entry.key_offset())?;
+            if &bytes[..key.len()] == key.as_bytes() {
+                drop(state);
+                bytes.drain(..key.len());
+                return self.checked_value(key, &entry, bytes).map(Some);
+            }
+        }
+        let Some(entry) = state.index.full.get(key).copied() else {
             return Ok(None);
         };
         let mut value = vec![0u8; entry.value_len as usize];
         read_exact_at(&state.file, &self.path, &mut value, entry.value_offset)?;
         drop(state);
+        self.checked_value(key, &entry, value).map(Some)
+    }
+
+    /// Verify a value read back for `key` against its checksum.
+    fn checked_value(
+        &self,
+        key: &str,
+        entry: &IndexEntry,
+        value: Vec<u8>,
+    ) -> Result<Vec<u8>, StoreError> {
         let crc = crate::record::crc32(&[&value]);
         if crc != entry.value_crc {
             return Err(StoreError::corrupt(format!(
@@ -450,7 +704,7 @@ impl Store {
         }
         // ordering: Relaxed — statistics counter, see `gets` above.
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Ok(Some(value))
+        Ok(value)
     }
 
     /// Append `value` under `key`, superseding any earlier record. The
@@ -487,21 +741,21 @@ impl Store {
         }
         let record = encode_record(key, value);
         let mut state = write_locked(&self.state);
+        // Tell an overwrite from a digest collision before appending, so
+        // a failed read leaves both the log and the index untouched.
+        let digest = index_digest(key);
+        let holds_key = state
+            .index
+            .holds_key(&state.file, &self.path, key, digest)?;
         let offset = state.end_offset;
         state.file.seek(SeekFrom::Start(offset))?;
         state.file.write_all(&record)?;
         state.end_offset += record.len() as u64;
-        let entry = IndexEntry {
-            value_offset: offset + 12 + key.len() as u64,
-            value_len: value.len() as u32,
-            value_crc: crate::record::crc32(&[value]),
-            seq: state.next_seq,
-        };
-        state.next_seq += 1;
         state.records += 1;
         state.appends += 1;
         state.live_value_bytes += value.len() as u64;
-        if let Some(old) = state.index.insert(key.to_owned(), entry) {
+        let entry = IndexEntry::at(offset, key, value);
+        if let Some(old) = state.index.insert(key, digest, entry, holds_key) {
             state.dead_records += 1;
             state.dead_bytes += record_len(key.len(), old.value_len as usize);
             state.live_value_bytes -= u64::from(old.value_len);
@@ -535,31 +789,43 @@ impl Store {
     /// a warm start loads front to back. Keys under
     /// [`RESERVED_KEY_PREFIX`] are system records, not data, and are
     /// skipped.
-    pub fn keys_by_recency(&self) -> Vec<String> {
-        let state = read_locked(&self.state);
-        let mut keys: Vec<(&String, u64)> = state
-            .index
-            .iter()
-            .filter(|(k, _)| !k.starts_with(RESERVED_KEY_PREFIX))
-            .map(|(k, e)| (k, e.seq))
-            .collect();
-        keys.sort_by_key(|&(_, seq)| std::cmp::Reverse(seq));
-        keys.into_iter().map(|(k, _)| k.clone()).collect()
+    ///
+    /// # Errors
+    ///
+    /// Fails on I/O errors reading keys back from the log, or a key
+    /// damaged on disk since open.
+    pub fn keys_by_recency(&self) -> Result<Vec<String>, StoreError> {
+        self.keys_where(|key| !key.is_reserved())
     }
 
     /// Live keys beginning with `prefix`, most-recently-written first.
     /// This is the listing surface for reserved system records (e.g.
-    /// every persisted slow trace under [`SLOW_TRACE_KEY_PREFIX`]).
-    pub fn keys_with_prefix(&self, prefix: &str) -> Vec<String> {
+    /// every persisted slow trace under [`SLOW_TRACE_KEY_PREFIX`]),
+    /// which the index holds in memory, so listing them reads nothing
+    /// from the log.
+    ///
+    /// # Errors
+    ///
+    /// As [`Store::keys_by_recency`], for a prefix that is not reserved.
+    pub fn keys_with_prefix(&self, prefix: &str) -> Result<Vec<String>, StoreError> {
+        let mut keys = self.keys_where(|key| match key {
+            KeyRef::Full(k) => k.starts_with(prefix),
+            KeyRef::Digest(_) => !is_reserved(prefix),
+        })?;
+        keys.retain(|k| k.starts_with(prefix));
+        Ok(keys)
+    }
+
+    /// Live keys the index admits through `keep`, newest first.
+    fn keys_where(&self, keep: impl Fn(KeyRef<'_>) -> bool) -> Result<Vec<String>, StoreError> {
         let state = read_locked(&self.state);
-        let mut keys: Vec<(&String, u64)> = state
-            .index
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(k, e)| (k, e.seq))
-            .collect();
-        keys.sort_by_key(|&(_, seq)| std::cmp::Reverse(seq));
-        keys.into_iter().map(|(k, _)| k.clone()).collect()
+        let mut picked: Vec<(KeyRef<'_>, IndexEntry)> =
+            state.index.live().filter(|&(k, _)| keep(k)).collect();
+        picked.sort_by_key(|&(_, e)| std::cmp::Reverse(e.value_offset));
+        picked
+            .into_iter()
+            .map(|(key, entry)| read_live_key(&state.file, &self.path, key, &entry))
+            .collect()
     }
 
     /// Bulk-load up to `limit` of the most recently written live
@@ -569,15 +835,16 @@ impl Store {
     /// starts, where a cache wants the store's whole hot set at once.
     /// `None` loads every live entry.
     ///
-    /// The in-memory index picks the hot set (so only `limit` values
+    /// The in-memory index picks the hot set (so only `limit` records
     /// are ever held in memory, and dead records are never read), and
-    /// the selected values are read in ascending offset order — a
+    /// the selected records are read in ascending offset order — a
     /// monotone sweep the OS read-ahead treats as sequential I/O.
     /// Value checksums are verified exactly as [`Store::get`] verifies
-    /// them; a value that fails (on-disk bit rot since open) is
-    /// *skipped* — counted in [`BulkLoad::damaged`], never allowed to
-    /// abort the rest of the warm start. Lookup counters are untouched
-    /// — a bulk load is not query traffic.
+    /// them, and each key is checked against its digest; a record that
+    /// fails (on-disk bit rot since open) is *skipped* — counted in
+    /// [`BulkLoad::damaged`], never allowed to abort the rest of the
+    /// warm start. Lookup counters are untouched — a bulk load is not
+    /// query traffic.
     ///
     /// # Errors
     ///
@@ -586,48 +853,44 @@ impl Store {
         let state = read_locked(&self.state);
         // The hot set: top-`limit` live *data* keys by recency —
         // reserved system records are not warm-start material.
-        let mut picked: Vec<(&String, IndexEntry)> = state
+        let mut picked: Vec<(KeyRef<'_>, IndexEntry)> = state
             .index
-            .iter()
-            .filter(|(k, _)| !k.starts_with(RESERVED_KEY_PREFIX))
-            .map(|(k, e)| (k, *e))
+            .live()
+            .filter(|&(k, _)| !k.is_reserved())
             .collect();
-        picked.sort_by_key(|&(_, e)| std::cmp::Reverse(e.seq));
+        picked.sort_by_key(|&(_, e)| std::cmp::Reverse(e.value_offset));
         picked.truncate(limit.unwrap_or(usize::MAX));
         // Read in ascending offset order: one forward sweep of the log.
-        picked.sort_by_key(|&(_, e)| e.value_offset);
-        let mut loaded: Vec<(u64, String, Vec<u8>)> = Vec::with_capacity(picked.len());
+        picked.reverse();
+        let mut entries = Vec::with_capacity(picked.len());
         let mut damaged = 0u64;
         for (key, entry) in picked {
-            let mut value = vec![0u8; entry.value_len as usize];
-            read_exact_at(&state.file, &self.path, &mut value, entry.value_offset)?;
-            if crate::record::crc32(&[&value]) == entry.value_crc {
-                loaded.push((entry.seq, key.clone(), value));
-            } else {
-                damaged += 1;
+            match read_live_record(&state.file, &self.path, key, &entry)? {
+                Some(record) => entries.push(record),
+                None => damaged += 1,
             }
         }
         drop(state);
-        loaded.sort_by_key(|&(seq, _, _)| std::cmp::Reverse(seq));
-        Ok(BulkLoad {
-            entries: loaded
-                .into_iter()
-                .map(|(_, key, value)| (key, value))
-                .collect(),
-            damaged,
-        })
+        entries.reverse();
+        Ok(BulkLoad { entries, damaged })
     }
 
     /// Live `(key, value-length)` pairs, sorted by key.
-    pub fn entries(&self) -> Vec<(String, u32)> {
+    ///
+    /// # Errors
+    ///
+    /// As [`Store::keys_by_recency`].
+    pub fn entries(&self) -> Result<Vec<(String, u32)>, StoreError> {
         let state = read_locked(&self.state);
-        let mut entries: Vec<(String, u32)> = state
+        let mut entries = state
             .index
-            .iter()
-            .map(|(k, e)| (k.clone(), e.value_len))
-            .collect();
+            .live()
+            .map(|(key, entry)| {
+                read_live_key(&state.file, &self.path, key, &entry).map(|k| (k, entry.value_len))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         entries.sort();
-        entries
+        Ok(entries)
     }
 
     /// Current counters and sizes.
@@ -678,9 +941,8 @@ impl Store {
         let dropped_records = state.dead_records;
 
         // Oldest-first, so append order (and thus recency) survives.
-        let mut live: Vec<(String, IndexEntry)> =
-            state.index.iter().map(|(k, e)| (k.clone(), *e)).collect();
-        live.sort_by_key(|(_, e)| e.seq);
+        let mut live: Vec<(KeyRef<'_>, IndexEntry)> = state.index.live().collect();
+        live.sort_by_key(|&(_, e)| e.value_offset);
 
         let tmp_path = PathBuf::from(format!("{}.compact", self.path.display()));
         let mut tmp = OpenOptions::new()
@@ -690,32 +952,25 @@ impl Store {
             .truncate(true)
             .open(&tmp_path)?;
         tmp.write_all(&header())?;
-        let mut new_index: HashMap<String, IndexEntry> = HashMap::with_capacity(live.len());
+        let mut new_index = Index::default();
         let mut offset = HEADER_LEN;
         let mut live_value_bytes = 0u64;
-        for (seq, (key, entry)) in live.iter().enumerate() {
-            let mut value = vec![0u8; entry.value_len as usize];
-            read_exact_at(&state.file, &self.path, &mut value, entry.value_offset)?;
-            let crc = crate::record::crc32(&[&value]);
-            if crc != entry.value_crc {
+        for (key, entry) in &live {
+            let Some((key, value)) = read_live_record(&state.file, &self.path, *key, entry)? else {
                 return Err(StoreError::corrupt(format!(
-                    "compaction read a damaged value for key {key:?}"
+                    "compaction read a damaged record at offset {}",
+                    entry.key_offset()
                 )));
-            }
-            let record = encode_record(key, &value);
+            };
+            let record = encode_record(&key, &value);
             tmp.write_all(&record)?;
-            new_index.insert(
-                key.clone(),
-                IndexEntry {
-                    value_offset: offset + 12 + key.len() as u64,
-                    value_len: entry.value_len,
-                    value_crc: entry.value_crc,
-                    seq: seq as u64,
-                },
-            );
+            // Live keys are distinct, so a taken digest is a collision.
+            let entry = IndexEntry::at(offset, &key, &value);
+            new_index.insert(&key, index_digest(&key), entry, false);
             live_value_bytes += u64::from(entry.value_len);
             offset += record.len() as u64;
         }
+        drop(live);
         tmp.sync_all()?;
         // Swap our open handle to the rewritten log *before* the
         // rename: Windows refuses to rename over a path the process
@@ -745,7 +1000,6 @@ impl Store {
         let live_records = new_index.len() as u64;
         state.index = new_index;
         state.end_offset = offset;
-        state.next_seq = live_records;
         state.records = live_records;
         state.dead_records = 0;
         state.dead_bytes = 0;
@@ -826,7 +1080,7 @@ mod tests {
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.recovered_bytes, 0);
         assert_eq!(
-            store.keys_by_recency(),
+            store.keys_by_recency().unwrap(),
             vec!["a".to_owned(), "b".to_owned()]
         );
     }
@@ -1029,7 +1283,7 @@ mod tests {
 
         // Warm-start surfaces see only data keys.
         assert_eq!(
-            store.keys_by_recency(),
+            store.keys_by_recency().unwrap(),
             vec!["data-b".to_owned(), "data-a".to_owned()]
         );
         let loaded = store.bulk_load(None).unwrap();
@@ -1040,7 +1294,7 @@ mod tests {
 
         // The prefix listing sees exactly the reserved records.
         assert_eq!(
-            store.keys_with_prefix(SLOW_TRACE_KEY_PREFIX),
+            store.keys_with_prefix(SLOW_TRACE_KEY_PREFIX).unwrap(),
             vec![
                 format!("{SLOW_TRACE_KEY_PREFIX}1"),
                 format!("{SLOW_TRACE_KEY_PREFIX}0"),
@@ -1055,8 +1309,11 @@ mod tests {
             b"trace-0"
         );
         store.compact().unwrap();
-        assert_eq!(store.keys_with_prefix(SLOW_TRACE_KEY_PREFIX).len(), 2);
-        assert_eq!(store.keys_by_recency().len(), 2);
+        assert_eq!(
+            store.keys_with_prefix(SLOW_TRACE_KEY_PREFIX).unwrap().len(),
+            2
+        );
+        assert_eq!(store.keys_by_recency().unwrap().len(), 2);
     }
 
     #[test]
@@ -1088,10 +1345,203 @@ mod tests {
             );
         }
         // Recency order survives the rewrite and the next reopen.
-        assert_eq!(store.keys_by_recency()[0], "k7");
+        assert_eq!(store.keys_by_recency().unwrap()[0], "k7");
         drop(store);
         let reopened = Store::open(&path).unwrap();
-        assert_eq!(reopened.keys_by_recency()[0], "k7");
+        assert_eq!(reopened.keys_by_recency().unwrap()[0], "k7");
         assert_eq!(reopened.stats().records, 8);
+    }
+
+    /// Force every digest computed on this thread to collide while the
+    /// guard lives.
+    struct CollidingDigests;
+
+    impl CollidingDigests {
+        fn force() -> Self {
+            DIGEST_MASK.with(|m| m.set(0));
+            CollidingDigests
+        }
+    }
+
+    impl Drop for CollidingDigests {
+        fn drop(&mut self) {
+            DIGEST_MASK.with(|m| m.set(u64::MAX));
+        }
+    }
+
+    /// Everything a reader can observe of a store's live set: the
+    /// listing, the warm-start load, and the reserved keys.
+    type LiveSet = (Vec<(String, u32)>, Vec<(String, Vec<u8>)>, Vec<String>);
+
+    fn live_set(store: &Store) -> LiveSet {
+        (
+            store.entries().unwrap(),
+            store.bulk_load(None).unwrap().entries,
+            store.keys_with_prefix(RESERVED_KEY_PREFIX).unwrap(),
+        )
+    }
+
+    #[test]
+    fn colliding_digests_keep_both_keys_and_tell_overwrite_from_collision() {
+        let _colliding = CollidingDigests::force();
+        assert_eq!(key_digest("alpha"), key_digest("beta"));
+        let path = temp_store_path("collide");
+        let _ = std::fs::remove_file(&path);
+        let store = Store::open(&path).unwrap();
+        store.put("alpha", b"a-1").unwrap();
+        store.put("beta", b"b-1").unwrap();
+        store.put("gamma-longer", b"g-1").unwrap();
+        // Three distinct keys on one digest: collisions, nothing dead.
+        assert_eq!(store.len(), 3);
+        assert_eq!(store.stats().dead_records, 0);
+        assert_eq!(store.get("alpha").unwrap().unwrap(), b"a-1");
+        assert_eq!(store.get("beta").unwrap().unwrap(), b"b-1");
+        assert_eq!(store.get("gamma-longer").unwrap().unwrap(), b"g-1");
+        assert_eq!(store.get("delta").unwrap(), None);
+
+        // Overwriting the digest holder and a full-key entry supersedes
+        // exactly one record each.
+        store.put("alpha", b"a-2").unwrap();
+        store.put("beta", b"b-2").unwrap();
+        let stats = store.stats();
+        assert_eq!((stats.live_entries, stats.dead_records), (3, 2));
+        assert_eq!(store.get("alpha").unwrap().unwrap(), b"a-2");
+        assert_eq!(store.get("beta").unwrap().unwrap(), b"b-2");
+        let listed = store.keys_by_recency().unwrap();
+        assert_eq!(listed, vec!["beta", "alpha", "gamma-longer"]);
+
+        // Reopen and compaction rebuild the same split, still colliding.
+        drop(store);
+        let store = Store::open(&path).unwrap();
+        assert_eq!(store.stats().dead_records, 2);
+        assert_eq!(store.keys_by_recency().unwrap(), listed);
+        store.compact().unwrap();
+        assert_eq!(store.keys_by_recency().unwrap(), listed);
+        for (key, value) in [("alpha", "a-2"), ("beta", "b-2"), ("gamma-longer", "g-1")] {
+            assert_eq!(store.get(key).unwrap().unwrap(), value.as_bytes());
+        }
+        store.put("gamma-longer", b"g-2").unwrap();
+        assert_eq!(store.stats().dead_records, 1);
+        assert_eq!(store.len(), 3);
+    }
+
+    #[test]
+    fn a_digest_index_bucket_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<(u64, IndexEntry)>(), 32);
+    }
+
+    #[test]
+    fn the_digest_index_holds_no_data_key_bytes() {
+        let path = temp_store_path("digest-only");
+        let _ = std::fs::remove_file(&path);
+        let store = Store::open(&path).unwrap();
+        for i in 0..64 {
+            store.put(&format!("data-{i:04}"), b"v").unwrap();
+        }
+        store
+            .put(&format!("{SLOW_TRACE_KEY_PREFIX}0"), b"t")
+            .unwrap();
+        let state = read_locked(&store.state);
+        assert_eq!(state.index.by_digest.len(), 64);
+        let full: Vec<&String> = state.index.full.keys().collect();
+        assert_eq!(full, vec![&format!("{SLOW_TRACE_KEY_PREFIX}0")]);
+    }
+
+    #[test]
+    fn reopen_rebuilds_the_same_live_set() {
+        let path = temp_store_path("rebuild");
+        let _ = std::fs::remove_file(&path);
+        let store = Store::open(&path).unwrap();
+        for round in 0..3 {
+            for i in 0..40 {
+                if (i + round) % 3 == 0 {
+                    let value = format!("value-{i}-round-{round}");
+                    store
+                        .put(&format!("layer-key-{i:03}"), value.as_bytes())
+                        .unwrap();
+                }
+            }
+            let trace = format!("trace-{round}");
+            store
+                .put(
+                    &format!("{SLOW_TRACE_KEY_PREFIX}{:08}", round % 2),
+                    trace.as_bytes(),
+                )
+                .unwrap();
+        }
+        let before = live_set(&store);
+        let stats = store.stats();
+        drop(store);
+
+        let reopened = Store::open(&path).unwrap();
+        assert_eq!(live_set(&reopened), before);
+        let again = reopened.stats();
+        assert_eq!(
+            (again.live_entries, again.records, again.dead_records),
+            (stats.live_entries, stats.records, stats.dead_records)
+        );
+        assert_eq!(
+            (again.live_value_bytes, again.dead_bytes),
+            (stats.live_value_bytes, stats.dead_bytes)
+        );
+        reopened.compact().unwrap();
+        assert_eq!(live_set(&reopened), before);
+        drop(reopened);
+        assert_eq!(live_set(&Store::open(&path).unwrap()), before);
+    }
+
+    #[test]
+    fn slow_trace_slots_survive_compaction_and_never_warm_load() {
+        let path = temp_store_path("slow-slots");
+        let _ = std::fs::remove_file(&path);
+        let store = Store::open(&path).unwrap();
+        let slots = 64;
+        // Traces wrap the slot ring three times around the data writes,
+        // so most trace records are dead and the live ones interleave
+        // with data by recency.
+        for seq in 0..3 * slots {
+            let slot = format!("{SLOW_TRACE_KEY_PREFIX}{:08}", seq % slots);
+            store.put(&slot, format!("trace-{seq}").as_bytes()).unwrap();
+            if seq % 4 == 0 {
+                store
+                    .put(
+                        &format!("data-{seq:04}"),
+                        format!("result-{seq}").as_bytes(),
+                    )
+                    .unwrap();
+            }
+        }
+        let data_keys = 3 * slots / 4;
+        let check = |store: &Store| {
+            assert_eq!(store.len(), slots + data_keys);
+            let traces = store.keys_with_prefix(SLOW_TRACE_KEY_PREFIX).unwrap();
+            assert_eq!(traces.len(), slots);
+            for (newest_first, key) in traces.iter().enumerate() {
+                let seq = 3 * slots - 1 - newest_first;
+                assert_eq!(*key, format!("{SLOW_TRACE_KEY_PREFIX}{:08}", seq % slots));
+                assert_eq!(
+                    store.get(key).unwrap().unwrap(),
+                    format!("trace-{seq}").as_bytes()
+                );
+            }
+            let warm = store.bulk_load(None).unwrap();
+            assert_eq!(warm.damaged, 0);
+            assert_eq!(warm.entries.len(), data_keys);
+            assert!(warm
+                .entries
+                .iter()
+                .all(|(k, _)| !k.starts_with(RESERVED_KEY_PREFIX)));
+            // A warm-start budget is spent on data only.
+            let top = store.bulk_load(Some(5)).unwrap().entries;
+            assert_eq!(top, warm.entries[..5].to_vec());
+            assert_eq!(store.keys_by_recency().unwrap().len(), data_keys);
+        };
+        check(&store);
+        let report = store.compact().unwrap();
+        assert_eq!(report.live_records as usize, slots + data_keys);
+        assert_eq!(report.dropped_records as usize, 2 * slots);
+        check(&store);
+        drop(store);
+        check(&Store::open(&path).unwrap());
     }
 }

@@ -161,6 +161,51 @@ fn compaction_preserves_exactly_the_live_key_set() {
     }
 }
 
+/// A log written by the store before its index keyed data by digest
+/// (`tests/data/string_index.wal`): twelve data keys, four of them
+/// rewritten, and three slow-trace slots, one of them rewritten. The
+/// record format did not change, so it must open and serve every key.
+#[test]
+fn a_log_written_by_the_string_keyed_index_opens_and_serves_every_key() {
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/string_index.wal");
+    let path = temp_store_path("string-index");
+    std::fs::copy(fixture, &path).unwrap();
+    let store = Store::open(&path).unwrap();
+    let stats = store.stats();
+    assert_eq!(
+        (stats.live_entries, stats.records, stats.dead_records),
+        (15, 20, 5)
+    );
+    assert_eq!(stats.recovered_bytes, 0);
+    for i in 0..12u32 {
+        let key = format!(
+            "SALP-2|h{}w13j384i256p3q3s1g1|ib65536wb65536ob65536px1b1|obj=edp;layer={i}",
+            13 + i
+        );
+        let round = if i % 3 == 0 { "second" } else { "first" };
+        assert_eq!(
+            store.get(&key).unwrap().unwrap(),
+            format!("value-{i}-{round}").as_bytes(),
+            "{key}"
+        );
+    }
+    for (slot, value) in [(0, "trace-0"), (1, "trace-1-again"), (2, "trace-2")] {
+        let key = format!("~slow/{slot:08}");
+        assert_eq!(store.get(&key).unwrap().unwrap(), value.as_bytes());
+    }
+    assert_eq!(
+        store.keys_with_prefix("~slow/").unwrap()[0],
+        "~slow/00000001"
+    );
+    assert_eq!(store.bulk_load(None).unwrap().entries.len(), 12);
+    // Compacting rewrites it into the same format, byte-compatible.
+    store.compact().unwrap();
+    drop(store);
+    let reopened = Store::open(&path).unwrap();
+    assert_eq!(reopened.len(), 15);
+    assert_eq!(reopened.stats().dead_records, 0);
+}
+
 #[test]
 fn an_empty_and_a_header_only_log_both_open() {
     let path = temp_store_path("empty");
